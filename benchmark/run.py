@@ -11,22 +11,22 @@ from the program (check.py), and the checker's self-test must catch
 three planted corruptions. The last line of standard output is one
 JSON object: correct, attempted, failed and metrics. A full record of
 the run (environment, every sample, spans, check messages) is written
-to .bench_results/ at the root of the checkout.
+to .bench_results/ at the root of the checkout. The exit code is 1 when
+a result is not correct or an operation failed, and 2 when the checkout
+holds no fisherwatch source.
 """
 from __future__ import annotations
 
 import argparse
-import ctypes
-import importlib
 import json
 import os
-import platform
 import shutil
 import statistics
 import subprocess
 import sys
 import threading
 import time
+import traceback
 from pathlib import Path
 
 import check
@@ -49,45 +49,29 @@ DEADLINE_S = 165.0
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def openblas_threads() -> dict:
-    """Thread count of numpy's and scipy's bundled OpenBLAS, as read now."""
-    found = {}
-    for label, module, symbol in (
-        ("numpy", "numpy._core._multiarray_umath", "scipy_openblas_get_num_threads64_"),
-        ("scipy", "scipy.linalg._fblas", "scipy_openblas_get_num_threads"),
-    ):
-        try:
-            get = getattr(ctypes.CDLL(importlib.import_module(module).__file__), symbol)
-        except (ImportError, OSError, AttributeError):
-            found[label] = None
-            continue
-        get.restype, get.argtypes = ctypes.c_int, []
-        found[label] = get()
-    return found
+def cli_env() -> dict:
+    """The environment of a CLI process: the caller's, with the checkout's
+    src/ on PYTHONPATH in place of an installed package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
-def environment() -> dict:
-    import numpy
-    import scipy
+def read_environment(trace: int) -> dict:
+    """The environment block, read where the measured work runs.
 
-    blas = {}
-    for label, show in (("numpy", numpy.show_config), ("scipy", scipy.show_config)):
-        try:
-            dep = show(mode="dicts")["Build Dependencies"]["blas"]
-            blas[label] = f"{dep['name']} {dep['version']}"
-        except (KeyError, TypeError, AttributeError):
-            blas[label] = None
-    return {
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "blas": blas,
-        "openblas_threads": openblas_threads(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "cpu_count": os.cpu_count(),
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "FISHERWATCH_THREADS": os.environ.get("FISHERWATCH_THREADS"),
-    }
+    End-to-end runs time fresh CLI processes, so a fresh interpreter with
+    their environment reads it; the traced run measures this process.
+    """
+    if trace:
+        import environment
+
+        return environment.environment()
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("environment.py"))],
+                          env=cli_env(), capture_output=True, text=True, timeout=60)
+    if proc.returncode != 0:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()}"}
+    return json.loads(proc.stdout)
 
 
 class Counter:
@@ -109,11 +93,8 @@ def run_cli(argv, work: Path, timeout: float):
     """Run one `fisherwatch` command in a fresh interpreter.
 
     Returns (wall seconds, peak RSS in MB from wait4, exit code, stderr).
-    The environment is passed on as it is, apart from PYTHONPATH, which
-    gains the checkout's src/ in place of an installed package.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = cli_env()
     with open(work / "stderr.txt", "w+") as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "fisherwatch.cli", *argv], cwd=work,
@@ -135,7 +116,11 @@ def run_cli(argv, work: Path, timeout: float):
 
 
 def end_to_end(doc: dict, seconds: float, work: Path, counter: Counter, log: dict) -> dict:
-    """Time simulate, then whole rounds of screen and the three detects."""
+    """Time simulate, then whole rounds of screen and the three detects.
+
+    A metric whose every call failed is None; ``log["failed_out"]`` names
+    those operations, whose artifacts cannot be checked.
+    """
     deadline = time.perf_counter() + DEADLINE_S
     (work / "scenario.json").write_text(json.dumps(doc))
     samples = {op: [] for op in ("simulate", "screen", *METHODS)}
@@ -159,11 +144,9 @@ def end_to_end(doc: dict, seconds: float, work: Path, counter: Counter, log: dic
     for _ in range(traced.SETUP_REPEATS):
         call("simulate", ["simulate", "scenario.json", "--out-dir", "sim"], "sim",
              ("data.csv", "truth.json", "manifest.json"))
-    if not samples["simulate"]:
-        raise RuntimeError(f"simulate failed: {counter.errors}")
     t0 = time.perf_counter()
     rounds = 0
-    while rounds < MIN_ROUNDS or time.perf_counter() - t0 < seconds:
+    while samples["simulate"] and (rounds < MIN_ROUNDS or time.perf_counter() - t0 < seconds):
         call("screen", ["screen", "sim/data.csv", "--out-dir", "screen"], "screen",
              ("report.json", "series.csv", "manifest.json"))
         for m in METHODS:
@@ -171,11 +154,12 @@ def end_to_end(doc: dict, seconds: float, work: Path, counter: Counter, log: dic
                  ("report.json", "traces.csv", "manifest.json"))
         rounds += 1
     log.update(samples=samples, rounds=rounds, nondeterministic=sorted(differing),
-               peak_rss_mb_each=rss)
+               peak_rss_mb_each=rss, failed_out=[op for op, s in samples.items() if not s])
+    median = {op: statistics.median(s) if s else None for op, s in samples.items()}
     return {
-        "setup_s": statistics.median(samples["simulate"]),
-        "screen_s": statistics.median(samples["screen"]),
-        **{f"detect_{m}_s": statistics.median(samples[m]) for m in METHODS},
+        "setup_s": median["simulate"],
+        "screen_s": median["screen"],
+        **{f"detect_{m}_s": median[m] for m in METHODS},
         "peak_rss_mb": max(rss),
     }
 
@@ -189,34 +173,47 @@ def run_workload(name: str, seed: int, seconds: float, trace: int) -> dict:
     work.mkdir(parents=True)
     counter = Counter()
     log: dict = {"workload": name, "seed": seed, "seconds": seconds, "trace": trace,
-                 "scenario": doc, "environment": environment()}
+                 "scenario": doc, "environment": read_environment(trace)}
+    metrics: dict = {}
+    failures = check.Failures()
+    caught: dict = {}
     try:
         if trace:
+            import environment
             from fisherwatch.blas import single_threaded
 
             metrics, spans, extra = traced.run(work, SRC, doc, seed, seconds, counter)
             with single_threaded():
-                log["environment"]["openblas_threads_pinned"] = openblas_threads()
+                log["environment"]["openblas_threads_pinned"] = environment.openblas_threads()
             log["environment"]["trace_overhead_s"] = extra.pop("trace_overhead_s")
             log.update(spans=spans, **extra)
             deterministic = extra["localize_reports_identical"]
         else:
             metrics = end_to_end(doc, seconds, work, counter, log)
             deterministic = not log["nondeterministic"]
-        failures = check.Failures()
         if not deterministic:
             failures.fail("determinism", "repeated runs gave different artifacts")
-        X = check.check_all(work, doc, cfg, METHODS, schema, seed, failures)
-        caught = check.self_test(work, X, cfg, METHODS, schema, seed)
+        missing = log.get("failed_out", [])
+        for op in missing:
+            failures.fail("operation", f"no {op} call succeeded, so its artifacts are unchecked")
+        if not {"simulate", "screen"} & set(missing):
+            X = check.check_all(work, doc, cfg, [m for m in METHODS if m not in missing],
+                                schema, seed, failures)
+            if not missing:
+                caught = check.self_test(work, X, cfg, METHODS, schema, seed)
+    except Exception as exc:
+        # a crash on broken artifacts fails this workload, not the others
+        traceback.print_exc()
+        failures.fail("run", f"{type(exc).__name__}: {exc}")
     finally:
         shutil.rmtree(work, ignore_errors=True)
     log.update(errors=counter.errors, checks_failed=failures.messages, self_test=caught)
     declared = {m["name"]: m["unit"] for m in DECLARED["per_layer" if trace else "end_to_end"]}
-    if set(metrics) != set(declared):
+    if metrics and set(metrics) != set(declared):
         raise RuntimeError(f"measured {sorted(metrics)}, BENCHMARK.json declares {sorted(declared)}")
-    correct = not failures and all(caught.values())
+    correct = not failures and bool(caught) and all(caught.values())
     result = {"correct": correct, "attempted": counter.attempted, "failed": counter.failed,
-              "metrics": {k: {"value": metrics[k], "unit": u} for k, u in declared.items()}}
+              "metrics": {k: {"value": metrics.get(k), "unit": u} for k, u in declared.items()}}
     RESULTS.mkdir(exist_ok=True)
     (RESULTS / f"{name}-seed{seed}-trace{trace}.json").write_text(
         json.dumps({**log, "result": result}, indent=1, default=float))
@@ -227,7 +224,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: int) -> dict:
     for corruption, ok in caught.items():
         print(f"{name}: self-test: {corruption}: {'caught' if ok else 'NOT caught'}")
     for k, v in result["metrics"].items():
-        print(f"{name}: {k} = {v['value']:.6g} {v['unit']}")
+        value = "not measured" if v["value"] is None else f"{v['value']:.6g} {v['unit']}"
+        print(f"{name}: {k} = {value}")
     print(f"{name}: operations attempted = {counter.attempted}, failed = {counter.failed}")
     print(json.dumps({"environment": log["environment"]}))
     return result
@@ -265,7 +263,7 @@ def main(argv=None) -> int:
                         for k, v in r["metrics"].items()},
         }
     print(json.dumps(final))
-    return 0
+    return 0 if final["correct"] and not final["failed"] else 1
 
 
 if __name__ == "__main__":

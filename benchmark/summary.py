@@ -1,7 +1,6 @@
 """Summarise the run records in .bench_results/: median and quartiles per metric.
 
-    python3 benchmark/summary.py            # every record
-    python3 benchmark/summary.py --trace 0  # end-to-end runs only
+    python3 benchmark/summary.py
 
 Records are grouped by workload and trace mode; each metric is printed
 with its number of runs, median, first and third quartile (as
@@ -10,7 +9,6 @@ with its number of runs, median, first and third quartile (as
 """
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 from pathlib import Path
@@ -18,20 +16,16 @@ from pathlib import Path
 RESULTS = Path(__file__).resolve().parent.parent / ".bench_results"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--trace", type=int, choices=(0, 1))
-    args = ap.parse_args(argv)
+def main() -> int:
     groups: dict[tuple, dict[str, list]] = {}
     units: dict[str, str] = {}
     for path in sorted(RESULTS.glob("*.json")):
         rec = json.loads(path.read_text())
-        if args.trace is not None and rec["trace"] != args.trace:
-            continue
         metrics = groups.setdefault((rec["workload"], rec["trace"]), {})
         for name, m in rec["result"]["metrics"].items():
-            metrics.setdefault(name, []).append(m["value"])
             units[name] = m["unit"]
+            if m["value"] is not None:  # None: every call of the operation failed
+                metrics.setdefault(name, []).append(m["value"])
     for (workload, trace), metrics in sorted(groups.items()):
         print(f"{workload} (trace {trace})")
         for name, values in metrics.items():
