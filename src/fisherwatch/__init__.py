@@ -8,7 +8,7 @@ from .core import (
     build_state_matrix,
     validate_config,
 )
-from .detect import Detection, DetectorTrace, dele_scan, deht_scan, localize, mp_scan, run_rule
+from .detect import DetectorTrace, localize, run_rule, scan
 from .rmt import (
     CltConstants,
     LsdParams,
@@ -17,7 +17,6 @@ from .rmt import (
     lsd_cdf,
     lsd_density,
     mp_upper_edge,
-    statistic_L,
     support_edges,
 )
 from .screening import ScreenResult, merge_intervals, screen, segment_boundaries
@@ -27,7 +26,6 @@ from .spectral import (
     WindowSplit,
     fisher_eigenvalues,
     fisher_trace_sq_dev,
-    largest_eigenvalue,
     normalize_rows,
     sample_covariance,
 )
@@ -41,13 +39,10 @@ __all__ = [
     "StateMatrix",
     "build_state_matrix",
     "validate_config",
-    "Detection",
     "DetectorTrace",
-    "dele_scan",
-    "deht_scan",
     "localize",
-    "mp_scan",
     "run_rule",
+    "scan",
     "CltConstants",
     "LsdParams",
     "clt_constants",
@@ -55,7 +50,6 @@ __all__ = [
     "lsd_cdf",
     "lsd_density",
     "mp_upper_edge",
-    "statistic_L",
     "support_edges",
     "ScreenResult",
     "merge_intervals",
@@ -69,7 +63,6 @@ __all__ = [
     "WindowSplit",
     "fisher_eigenvalues",
     "fisher_trace_sq_dev",
-    "largest_eigenvalue",
     "normalize_rows",
     "sample_covariance",
 ]

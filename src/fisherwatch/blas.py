@@ -37,10 +37,10 @@ def _pools() -> tuple:
     return tuple(p for p in found if p is not None)
 
 
-# The thread counts are process-wide, while the pinned entry points may
-# run on several Python threads at once (localize scans intervals on a
-# pool). The first block to enter saves and pins, the last to leave
-# restores; the lock keeps a leaving block from unpinning a running one.
+# The thread counts are process-wide, while a caller may run the pinned
+# entry points on several of its own Python threads at once. The first
+# block to enter saves and pins, the last to leave restores; the lock
+# keeps a leaving block from unpinning a running one.
 _lock = threading.Lock()
 _depth = 0
 _saved: list = []

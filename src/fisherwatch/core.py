@@ -6,7 +6,7 @@ conversion happens at the report boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,10 +59,6 @@ class StateMatrix:
     def T(self) -> int:
         return self.values.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        """Channel series i (0-based)."""
-        return self.values[i]
-
 
 def build_state_matrix(
     rows: Sequence[Sequence[float]],
@@ -89,8 +85,8 @@ class DetectionConfig:
     """Tuning parameters for screening and point-by-point detection.
 
     Unset (None) values are filled from the profile defaults by
-    :func:`validate_config`: d1 = p - 10, d2 = p + 10, D per profile,
-    plus the profile's consecutive-rejection count s.
+    :func:`validate_config`: d1 = p - 10, d2 = p + 10, D per profile but
+    at least ceil(d / 2), plus the profile's consecutive-rejection count s.
     """
 
     D: Optional[int] = None
@@ -102,7 +98,6 @@ class DetectionConfig:
     beta1: float = 0.0
     beta2: float = 0.0
     profile: str = "distribution"
-    _checked_for: Optional[int] = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -114,10 +109,10 @@ class DetectionConfig:
 def validate_config(cfg: DetectionConfig, p: int) -> DetectionConfig:
     """Fill defaults for dimension p and enforce all parameter constraints.
 
-    Idempotent: a config already checked for this p is returned unchanged.
+    Idempotent: a config that needs no default filled is returned as is.
+    The bounds keep every aspect ratio p/(n-1) of a reference block below
+    1 and let every screened interval, at least 2D wide, hold one window.
     """
-    if cfg._checked_for == p:
-        return cfg
     if p < 2:
         raise ConfigError(f"need p >= 2 channels, got p={p}")
     if cfg.profile not in PROFILES:
@@ -125,24 +120,35 @@ def validate_config(cfg: DetectionConfig, p: int) -> DetectionConfig:
     prof = PROFILES[cfg.profile]
     d1 = cfg.d1 if cfg.d1 is not None else max(p - 10, 2)
     d2 = cfg.d2 if cfg.d2 is not None else p + 10
-    D = cfg.D if cfg.D is not None else prof["D"](p)
+    D = cfg.D if cfg.D is not None else max(prof["D"](p), (d1 + d2 + 1) // 2)
     s = cfg.s if cfg.s is not None else prof["s"]
 
-    if d2 <= p:
+    if d2 < p + 2:
         raise ConfigError(
-            f"d2={d2} must exceed p={p} so the second sample covariance is invertible"
+            f"d2={d2} must be at least p+2={p + 2} so the reference aspect ratio "
+            f"p/(d2-1) stays below 1"
         )
     if d1 < 2:
         raise ConfigError(f"d1={d1} must be at least 2")
-    if D < p + 1:
-        raise ConfigError(f"segment width D={D} must be at least p+1={p + 1}")
+    if D < p + 2:
+        raise ConfigError(
+            f"segment width D={D} must be at least p+2={p + 2} so the aspect "
+            f"ratio p/(D-1) stays below 1"
+        )
+    if d1 + d2 > 2 * D:
+        raise ConfigError(
+            f"window width d1+d2={d1 + d2} exceeds 2D={2 * D}, the narrowest "
+            f"screened interval"
+        )
     if s < 1:
         raise ConfigError(f"consecutive count s={s} must be >= 1")
     if not 0.0 < cfg.alpha < 1.0:
         raise ConfigError(f"alpha={cfg.alpha} must lie in (0, 1)")
     if cfg.kappa not in (1, 2):
         raise ConfigError(f"kappa={cfg.kappa} must be 1 (complex) or 2 (real)")
-    return replace(cfg, D=D, d1=d1, d2=d2, s=s, _checked_for=p)
+    if (cfg.D, cfg.d1, cfg.d2, cfg.s) == (D, d1, d2, s):
+        return cfg
+    return replace(cfg, D=D, d1=d1, d2=d2, s=s)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,22 @@
 """Point-by-point localization inside screened intervals.
 
-Three sliding-window detectors over each candidate interval:
+One sliding-window scan serves three detectors, each a per-window
+statistic compared with a closed-form threshold:
 
 * ``dele`` flags windows whose largest Fisher eigenvalue exceeds the
   upper support edge b of the limiting law (strict >);
 * ``deht`` flags windows whose standardized statistic |L_k| reaches the
   Gaussian quantile threshold (closed >=, matching the rejection region);
-* ``mp`` is the Marchenko-Pastur baseline on the plain sample covariance.
+* ``mp`` is the Marchenko-Pastur baseline on the plain sample covariance
+  (strict >).
 
 A fault is declared only after s consecutive flagged windows; the
 declared time is the last column of the window completing the run.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -35,12 +37,13 @@ from .rmt import (
     statistic_value,
     support_edges,
 )
-from .screening import screen, worker_count
+from .screening import screen
 from .spectral import (
     WindowSplit,
     fisher_trace_sq_dev,
     normalize_rows,
     sample_covariance,
+    window_covariances,
     window_spectrum,
 )
 
@@ -56,14 +59,6 @@ class DetectorTrace:
     values: np.ndarray  # lambda_1k, |L_k| or lambda_max, window k = 1..K
     threshold: float
     flags: np.ndarray
-
-
-@dataclass(frozen=True)
-class Detection:
-    fault_time: int  # absolute 1-based sample index
-    trigger_window: int  # k_s, 1-based within the interval
-    consecutive_count: int
-    detector: str
 
 
 def slide_windows(data: np.ndarray, d1: int, d2: int) -> Iterator[WindowSplit]:
@@ -94,99 +89,78 @@ def run_rule(flags, s: int) -> Optional[int]:
     return None
 
 
-def _finish(
-    detector: str,
-    interval: tuple[int, int],
-    values: np.ndarray,
-    threshold: float,
-    flags: np.ndarray,
-    cfg: DetectionConfig,
-) -> tuple[DetectorTrace, Optional[Detection]]:
-    trace = DetectorTrace(
-        detector=detector,
-        interval=interval,
-        values=values,
-        threshold=threshold,
-        flags=flags,
-    )
-    k_s = run_rule(flags, cfg.s)
-    if k_s is None:
-        return trace, None
-    det = Detection(
-        fault_time=interval[0] - 1 + k_s + cfg.d - 1,
-        trigger_window=k_s,
-        consecutive_count=cfg.s,
-        detector=detector,
-    )
-    return trace, det
-
-
-@single_threaded()
-def dele_scan(
-    data: np.ndarray, cfg: DetectionConfig, interval: tuple[int, int]
-) -> tuple[DetectorTrace, Optional[Detection]]:
-    """Largest-eigenvalue detector; threshold is the support edge b.
-
-    b depends only on (d1, d2), so it is computed once per interval.
-    """
-    p = data.shape[0]
+def _dele(p: int, cfg: DetectionConfig):
+    """Largest Fisher eigenvalue against the support edge b."""
     b = support_edges(p / (cfg.d1 - 1), p / (cfg.d2 - 1)).b
-    values = np.array(
-        [
-            window_spectrum(w, f"window {w.start + 1}").largest
-            for w in slide_windows(data, cfg.d1, cfg.d2)
-        ]
-    )
-    return _finish("dele", interval, values, b, values > b, cfg)
+    return b, lambda w, ctx: window_spectrum(w, ctx).largest
 
 
-@single_threaded()
-def deht_scan(
-    data: np.ndarray, cfg: DetectionConfig, interval: tuple[int, int]
-) -> tuple[DetectorTrace, Optional[Detection]]:
-    """Statistic-based detector; no eigendecomposition on the hot path."""
-    p = data.shape[0]
+def _deht(p: int, cfg: DetectionConfig):
+    """|L| from the trace fast path; no eigendecomposition per window."""
     consts = clt_constants(
         p / (cfg.d1 - 1), p / (cfg.d2 - 1), cfg.kappa, cfg.beta1, cfg.beta2
     )
-    threshold = rejection_threshold(cfg.alpha)
-    values = []
-    for w in slide_windows(data, cfg.d1, cfg.d2):
-        ctx = f"window {w.start + 1}"
-        Xn = normalize_rows(w.columns, ctx)
-        S_ref = sample_covariance(Xn[:, : w.n1])
-        S_probe = sample_covariance(Xn[:, w.n1 :])
-        trace = fisher_trace_sq_dev(S_probe, S_ref, ctx)
-        values.append(abs(statistic_value(trace, p, consts)))
-    values = np.array(values)
-    return _finish("deht", interval, values, threshold, values >= threshold, cfg)
+
+    def statistic(w: WindowSplit, ctx: str) -> float:
+        trace = fisher_trace_sq_dev(*window_covariances(w, ctx), ctx)
+        return abs(statistic_value(trace, p, consts))
+
+    return rejection_threshold(cfg.alpha), statistic
+
+
+def _mp(p: int, cfg: DetectionConfig):
+    """Largest eigenvalue of the whole window's covariance: one sample, no split."""
+    edge = mp_upper_edge(p / (cfg.d - 1))
+
+    def statistic(w: WindowSplit, ctx: str) -> float:
+        seg = normalize_rows(w.columns, ctx)
+        return float(np.linalg.eigvalsh(sample_covariance(seg))[-1])
+
+    return edge, statistic
+
+
+#: method -> (setup, comparison). ``setup(p, cfg)`` returns the interval's
+#: threshold and the per-window statistic; a window is flagged when
+#: ``comparison(value, threshold)`` holds.
+_RULES = {
+    "dele": (_dele, np.greater),
+    "deht": (_deht, np.greater_equal),
+    "mp": (_mp, np.greater),
+}
 
 
 @single_threaded()
-def mp_scan(
-    data: np.ndarray, cfg: DetectionConfig, interval: tuple[int, int]
-) -> tuple[DetectorTrace, Optional[Detection]]:
-    """Baseline: largest covariance eigenvalue vs the Marchenko-Pastur edge.
+def scan(
+    data: np.ndarray, cfg: DetectionConfig, interval: tuple[int, int], method: str
+) -> tuple[DetectorTrace, Optional[DetectionRecord]]:
+    """Slide the window of ``method`` across one interval's columns.
 
-    The whole width-d window is one sample; no two-population split.
+    The threshold depends only on (p, cfg), so it is computed once per
+    interval. Returns the trace and the first detection, if any.
     """
-    p = data.shape[0]
-    d = cfg.d
-    edge = mp_upper_edge(p / (d - 1))
-    W = data.shape[1]
-    if W < d:
-        raise RecordTooShortError(
-            f"interval of width {W} cannot hold one window of width {d}"
-        )
-    values = []
-    for k in range(W - d + 1):
-        seg = normalize_rows(data[:, k : k + d], f"window {k + 1}")
-        values.append(float(np.linalg.eigvalsh(sample_covariance(seg))[-1]))
-    values = np.array(values)
-    return _finish("mp", interval, values, edge, values > edge, cfg)
+    setup, comparison = _RULES[method]
+    threshold, statistic = setup(data.shape[0], cfg)
+    values = np.array(
+        [
+            statistic(w, f"window {w.start + 1}")
+            for w in slide_windows(data, cfg.d1, cfg.d2)
+        ]
+    )
+    flags = comparison(values, threshold)
+    trace = DetectorTrace(method, interval, values, threshold, flags)
+    k_s = run_rule(flags, cfg.s)
+    if k_s is None:
+        return trace, None
+    return trace, DetectionRecord(
+        interval=interval,
+        fault_time=interval[0] - 1 + k_s + cfg.d - 1,
+        detector=method,
+        trigger_window=k_s,
+    )
 
 
-_SCANS = {"dele": dele_scan, "deht": deht_scan, "mp": mp_scan}
+#: method -> the scan that :func:`localize` calls once per interval
+_SCANS = {m: functools.partial(scan, method=m) for m in METHODS}
 
 
 @single_threaded()
@@ -198,41 +172,26 @@ def localize(
 ) -> FaultReport:
     """Screen the record, then scan each merged interval with one detector.
 
-    Reports the first detection per interval; ``true_tau`` (1-based)
-    attaches the detection delay in samples.
+    Intervals are scanned in order on the calling thread. Reports the
+    first detection per interval; ``true_tau`` (1-based) attaches the
+    detection delay in samples.
     """
     if method not in _SCANS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     cfg = validate_config(cfg, X.p)
-    screened = screen(X, cfg)
-    scan = _SCANS[method]
-    intervals = screened.merged_intervals
-
-    def scan_one(iv):
-        lo, hi = iv
-        return scan(X.values[:, lo - 1 : hi], cfg, iv)
-
-    if intervals:
-        with ThreadPoolExecutor(max_workers=worker_count(len(intervals))) as pool:
-            results = list(pool.map(scan_one, intervals))
-    else:
-        results = []
-
-    traces = tuple(trace for trace, _ in results)
-    detections = tuple(
-        DetectionRecord(
-            interval=trace.interval,
-            fault_time=det.fault_time,
-            detector=det.detector,
-            trigger_window=det.trigger_window,
-            delay_samples=(det.fault_time - true_tau) if true_tau is not None else None,
-        )
-        for trace, det in results
-        if det is not None
-    )
+    intervals = screen(X, cfg).merged_intervals
+    scan_interval = _SCANS[method]
+    traces, detections = [], []
+    for lo, hi in intervals:
+        trace, det = scan_interval(X.values[:, lo - 1 : hi], cfg, (lo, hi))
+        traces.append(trace)
+        if det is not None:
+            if true_tau is not None:
+                det = replace(det, delay_samples=det.fault_time - true_tau)
+            detections.append(det)
     return FaultReport(
         screened_intervals=intervals,
-        detections=detections,
-        traces=traces,
+        detections=tuple(detections),
+        traces=tuple(traces),
         config=cfg,
     )

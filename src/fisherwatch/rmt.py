@@ -18,7 +18,6 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import ConfigError
-from .spectral import FisherSpectrum
 
 #: absolute tolerance of the CDF quadrature
 CDF_ATOL = 1e-9
@@ -48,16 +47,6 @@ class CltConstants:
     kappa: int
     beta1: float
     beta2: float
-
-
-@dataclass(frozen=True)
-class TestOutcome:
-    """One two-sample covariance test: statistic, threshold, verdict."""
-
-    L: float
-    threshold: float
-    reject: bool
-    position: int  # 1-based sample index of the tested boundary
 
 
 def _check_ratios(y1: float, y2: float):
@@ -159,10 +148,6 @@ def clt_constants(
 def statistic_value(trace_sq_dev: float, p: int, consts: CltConstants) -> float:
     """Standardized test statistic from the raw trace value."""
     return (trace_sq_dev - p * consts.Fg - consts.mu_g) / math.sqrt(consts.nu_g)
-
-
-def statistic_L(spec: FisherSpectrum, consts: CltConstants, p: int) -> float:
-    return statistic_value(spec.trace_sq_dev, p, consts)
 
 
 def gaussian_quantile(q: float) -> float:

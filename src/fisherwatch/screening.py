@@ -7,22 +7,23 @@ intervals. All sample indices in results are 1-based inclusive.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .blas import single_threaded
 from .core import DetectionConfig, StateMatrix, validate_config
 from .errors import RecordTooShortError
-from .rmt import TestOutcome, clt_constants, rejection_threshold, statistic_value
+from .rmt import clt_constants, rejection_threshold, statistic_value
 from .spectral import fisher_trace_sq_dev, normalize_rows, sample_covariance
 
 
-def worker_count(n_tasks: int) -> int:
-    """Parallelism cap: FISHERWATCH_THREADS env var, else cpu count."""
-    env = os.environ.get("FISHERWATCH_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
+@dataclass(frozen=True)
+class TestOutcome:
+    """One two-sample covariance test: statistic, threshold, verdict."""
+
+    L: float
+    threshold: float
+    reject: bool
+    position: int  # 1-based sample index of the tested boundary
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,9 @@ def screen(X: StateMatrix, cfg: DetectionConfig) -> ScreenResult:
     segments = [
         ((i - 1) * D, i * D, (i + 1) * D if i < N else T) for i in range(1, N + 1)
     ]
-    values = X.values
-    with ThreadPoolExecutor(max_workers=worker_count(N)) as pool:
-        outcomes = list(
-            pool.map(
-                lambda i: _boundary_test(values, segments, i, cfg, threshold),
-                range(1, N + 1),
-            )
-        )
+    outcomes = [
+        _boundary_test(X.values, segments, i, cfg, threshold) for i in range(1, N + 1)
+    ]
     raw = [
         ((i - 1) * D + 1, (i + 1) * D if i < N else T)
         for i, o in zip(range(1, N + 1), outcomes)

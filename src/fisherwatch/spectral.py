@@ -155,8 +155,10 @@ def fisher_trace_sq_dev(S1: np.ndarray, S2: np.ndarray, context: str = "") -> fl
     return float(np.sum(M * M.T))
 
 
-def window_spectrum(window: WindowSplit, context: str = "") -> FisherSpectrum:
-    """Spectrum of F = S_probe S_ref^-1 for one window.
+def window_covariances(
+    window: WindowSplit, context: str = ""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S_probe, S_ref) of one window, the numerator and denominator of F.
 
     The whole window is normalized with shared row statistics before the
     split: separate per-block statistics would absorb a variance change
@@ -165,8 +167,10 @@ def window_spectrum(window: WindowSplit, context: str = "") -> FisherSpectrum:
     Xn = normalize_rows(window.columns, context)
     S_ref = sample_covariance(Xn[:, : window.n1])
     S_probe = sample_covariance(Xn[:, window.n1 :])
+    return S_probe, S_ref
+
+
+def window_spectrum(window: WindowSplit, context: str = "") -> FisherSpectrum:
+    """Spectrum of F = S_probe S_ref^-1 for one window."""
+    S_probe, S_ref = window_covariances(window, context)
     return fisher_eigenvalues(S_probe, S_ref, window.n2, window.n1, context)
-
-
-def largest_eigenvalue(spec: FisherSpectrum) -> float:
-    return spec.largest

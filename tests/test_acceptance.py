@@ -18,7 +18,7 @@ from scipy import integrate, special
 from fisherwatch import io
 from fisherwatch.cli import main
 from fisherwatch.core import DetectionConfig, validate_config
-from fisherwatch.detect import dele_scan, deht_scan, localize, run_rule
+from fisherwatch.detect import localize, run_rule, scan
 from fisherwatch.rmt import clt_constants, gaussian_quantile, lsd_density, support_edges
 from fisherwatch.screening import screen, segment_boundaries
 from fisherwatch.simgen import CovarianceEvent, Scenario, generate
@@ -173,9 +173,9 @@ def power_study():
         X, _ = generate(sc)
         res = screen(X, cfg)
         hits["screen"] += any(lo <= tau <= hi for lo, hi in res.merged_intervals)
-        for name, scan in (("dele", dele_scan), ("deht", deht_scan)):
+        for name in ("dele", "deht"):
             for lo, hi in res.merged_intervals:
-                _, det = scan(X.values[:, lo - 1:hi], cfg, (lo, hi))
+                _, det = scan(X.values[:, lo - 1:hi], cfg, (lo, hi), name)
                 if det is not None and lo_ok <= det.fault_time <= hi_ok:
                     hits[name] += 1
                     break

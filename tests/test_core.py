@@ -19,7 +19,7 @@ class TestStateMatrix:
         X = StateMatrix(values=np.arange(12.0).reshape(3, 4), channel_ids=("a", "b", "c"))
         assert X.p == 3
         assert X.T == 4
-        assert np.array_equal(X.row(1), [4.0, 5.0, 6.0, 7.0])
+        assert np.array_equal(X.values[1], [4.0, 5.0, 6.0, 7.0])
 
     def test_values_are_read_only(self):
         X = StateMatrix(values=np.zeros((2, 2)), channel_ids=("a", "b"))
@@ -99,6 +99,9 @@ class TestValidateConfig:
             {"alpha": 1.0},
             {"kappa": 3},
             {"profile": "unknown"},
+            {"D": 41},
+            {"d2": 41},
+            {"D": 45, "d1": 50, "d2": 50},
         ],
     )
     def test_constraint_violations(self, kwargs):
@@ -113,9 +116,10 @@ class TestValidateConfig:
            profile=st.sampled_from(sorted(PROFILES)))
     def test_defaults_always_self_consistent(self, p, profile):
         cfg = validate_config(DetectionConfig(profile=profile), p)
-        assert cfg.d2 > p
+        assert cfg.d2 >= p + 2
         assert cfg.d1 >= 2
-        assert cfg.D >= p + 1
+        assert cfg.D >= p + 2
+        assert cfg.d <= 2 * cfg.D
         assert cfg.s >= 1
 
 

@@ -1,21 +1,18 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fisherwatch.core import DetectionConfig, validate_config
-from fisherwatch.detect import (
-    METHODS,
-    dele_scan,
-    deht_scan,
-    localize,
-    mp_scan,
-    run_rule,
-    slide_windows,
-)
-from fisherwatch.errors import RecordTooShortError
-from fisherwatch.rmt import clt_constants, statistic_L
+from fisherwatch.core import DetectionConfig, StateMatrix, validate_config
+from fisherwatch.detect import METHODS, localize, run_rule, scan, slide_windows
+from fisherwatch.errors import ConfigError, RecordTooShortError
+from fisherwatch.rmt import clt_constants
+from fisherwatch.screening import screen
 from fisherwatch.simgen import CovarianceEvent, Scenario, generate
-from fisherwatch.spectral import window_spectrum
+
+#: each method's flag rule: strict for the edge detectors, closed for |L|
+COMPARISONS = {"dele": np.greater, "deht": np.greater_equal, "mp": np.greater}
 
 
 def event_record(p=20, T=1200, tau=600, factor=3.0, n_channels=8, seed=0):
@@ -103,10 +100,7 @@ def scanned(cfg):
     X = event_record(seed=4)
     interval = (541, 720)
     data = X.values[:, interval[0] - 1 : interval[1]]
-    return {
-        name: scan(data, cfg, interval)
-        for name, scan in (("dele", dele_scan), ("deht", deht_scan), ("mp", mp_scan))
-    }
+    return {name: scan(data, cfg, interval, name) for name in METHODS}
 
 
 class TestScans:
@@ -117,10 +111,9 @@ class TestScans:
             assert len(trace.flags) == len(trace.values)
 
     def test_flags_match_thresholds(self, scanned):
-        tr, _ = scanned["dele"]
-        assert np.array_equal(tr.flags, tr.values > tr.threshold)
-        tr, _ = scanned["deht"]
-        assert np.array_equal(tr.flags, tr.values >= tr.threshold)
+        for name, compare in COMPARISONS.items():
+            tr, _ = scanned[name]
+            assert np.array_equal(tr.flags, compare(tr.values, tr.threshold)), name
 
     def test_detection_consistent_with_run_rule(self, cfg, scanned):
         for trace, det in scanned.values():
@@ -130,7 +123,6 @@ class TestScans:
             else:
                 assert det.trigger_window == k
                 assert det.fault_time == trace.interval[0] - 1 + k + cfg.d - 1
-                assert det.consecutive_count == cfg.s
 
     def test_fisher_detectors_localize_the_change(self, cfg, scanned):
         tau = 600
@@ -139,18 +131,45 @@ class TestScans:
             assert det is not None, name
             assert tau < det.fault_time <= tau + cfg.d + cfg.s + 100
 
-    def test_deht_values_match_eigen_route(self, cfg):
-        # trace fast path and full spectrum must give the same statistic
-        X = event_record(seed=6)
-        data = X.values[:, 540:720]
-        trace, _ = deht_scan(data, cfg, (541, 720))
-        consts = clt_constants(
-            20 / (cfg.d1 - 1), 20 / (cfg.d2 - 1), cfg.kappa, cfg.beta1, cfg.beta2
-        )
-        for k in (0, 37, 113):
-            w = list(slide_windows(data, cfg.d1, cfg.d2))[k]
-            ref = abs(statistic_L(window_spectrum(w), consts, 20))
-            assert trace.values[k] == pytest.approx(ref, rel=1e-8)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_values_match_plain_numpy(self, cfg, method):
+        # every value the scan reports, recomputed without fisherwatch's
+        # kernels: sampled windows plus the s windows up to each trigger
+        p, interval = 20, (541, 720)
+        data = event_record(seed=6).values[:, interval[0] - 1 : interval[1]]
+        trace, det = scan(data, cfg, interval, method)
+        y1, y2 = p / (cfg.d1 - 1), p / (cfg.d2 - 1)
+        h = np.sqrt(y1 + y2 - y1 * y2)
+        threshold = {
+            "dele": (1 + h) ** 2 / (1 - y2) ** 2,
+            "deht": NormalDist().inv_cdf(1 - cfg.alpha / 2),
+            "mp": (1 + np.sqrt(p / (cfg.d - 1))) ** 2,
+        }[method]
+        assert trace.threshold == pytest.approx(threshold, rel=1e-12)
+
+        consts = clt_constants(y1, y2, cfg.kappa, cfg.beta1, cfg.beta2)
+        rng = np.random.default_rng(0)
+        ks = set(rng.choice(len(trace.values), size=12, replace=False).tolist())
+        if det is not None:  # 0-based indices of the s windows up to the trigger
+            ks.update(range(det.trigger_window - cfg.s, det.trigger_window))
+        for k in sorted(ks):
+            cols = data[:, k : k + cfg.d]
+            Xn = (cols - cols.mean(axis=1, keepdims=True)) / cols.std(
+                axis=1, ddof=1, keepdims=True
+            )
+            if method == "mp":
+                ref = np.linalg.eigvalsh(np.cov(Xn))[-1]
+            else:
+                S_ref, S_probe = np.cov(Xn[:, : cfg.d2]), np.cov(Xn[:, cfg.d2 :])
+                lam = np.linalg.eigvals(np.linalg.solve(S_ref, S_probe)).real
+                if method == "dele":
+                    ref = lam.max()
+                else:
+                    L = (np.sum((lam - 1) ** 2) - p * consts.Fg - consts.mu_g) / np.sqrt(
+                        consts.nu_g
+                    )
+                    ref = abs(L)
+            assert trace.values[k] == pytest.approx(ref, rel=1e-8), k
 
 
 class TestLocalize:
@@ -184,3 +203,40 @@ class TestLocalize:
         report = localize(X, DetectionConfig(s=8), method="mp")
         assert len(report.traces) == len(report.screened_intervals)
         assert report.config.s == 8
+
+
+@st.composite
+def config_and_record(draw):
+    """A config drawn around its validity bounds, with a record to run it on."""
+    p = draw(st.integers(3, 10))
+    cfg = DetectionConfig(
+        D=draw(st.none() | st.integers(p, 4 * p)),
+        d1=draw(st.none() | st.integers(1, 3 * p)),
+        d2=draw(st.none() | st.integers(p, 3 * p)),
+        s=draw(st.none() | st.integers(1, 8)),
+        alpha=draw(st.sampled_from([0.01, 0.05, 0.2])),
+        kappa=draw(st.sampled_from([1, 2])),
+        profile=draw(st.sampled_from(["distribution", "transmission"])),
+    )
+    return p, cfg, draw(st.integers(0, 2**32 - 1))
+
+
+@given(config_and_record())
+@settings(max_examples=40, deadline=None)
+def test_validated_configs_run_to_completion(case):
+    # a config may only be refused by validate_config, never mid-run
+    p, cfg, seed = case
+    try:
+        cfg = validate_config(cfg, p)
+    except ConfigError:
+        return
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(2 * cfg.D, 6 * cfg.D + 1))
+    values = rng.standard_normal((p, T))
+    tau = int(rng.integers(cfg.D // 2, T - cfg.D // 2))
+    channels = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
+    values[channels, tau:] *= rng.uniform(3.0, 10.0)
+    X = StateMatrix(values=values, channel_ids=tuple(f"ch{i}" for i in range(p)))
+    screen(X, cfg)
+    for method in METHODS:
+        localize(X, cfg, method=method)

@@ -8,7 +8,6 @@ from fisherwatch.screening import (
     merge_intervals,
     screen,
     segment_boundaries,
-    worker_count,
 )
 from fisherwatch.simgen import CovarianceEvent, Scenario, generate
 
@@ -73,20 +72,6 @@ class TestMergeIntervals:
         assert wanted <= covered
 
 
-class TestWorkerCount:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("FISHERWATCH_THREADS", "2")
-        assert worker_count(8) == 2
-
-    def test_task_cap(self, monkeypatch):
-        monkeypatch.setenv("FISHERWATCH_THREADS", "16")
-        assert worker_count(3) == 3
-
-    def test_at_least_one(self, monkeypatch):
-        monkeypatch.setenv("FISHERWATCH_THREADS", "0")
-        assert worker_count(5) == 1
-
-
 @pytest.fixture(scope="module")
 def cfg():
     return validate_config(DetectionConfig(), 20)
@@ -116,14 +101,6 @@ class TestScreen:
         ):
             assert lo == (i - 1) * D + 1
             assert hi == (i + 1) * D if i < N else X.T
-
-    def test_thread_count_does_not_change_statistics(self, cfg, monkeypatch):
-        X = self.null_record(seed=5)
-        monkeypatch.setenv("FISHERWATCH_THREADS", "1")
-        serial = screen(X, cfg)
-        monkeypatch.setenv("FISHERWATCH_THREADS", "4")
-        parallel = screen(X, cfg)
-        assert [o.L for o in serial.outcomes] == [o.L for o in parallel.outcomes]
 
     def test_captures_strong_covariance_change(self, cfg):
         tau = 600

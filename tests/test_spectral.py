@@ -8,7 +8,6 @@ from fisherwatch.spectral import (
     WindowSplit,
     fisher_eigenvalues,
     fisher_trace_sq_dev,
-    largest_eigenvalue,
     normalize_rows,
     sample_covariance,
     window_spectrum,
@@ -123,7 +122,6 @@ class TestFisherEigenvalues:
         S2 = random_spd(rng, p)
         spec = fisher_eigenvalues(S1, S2, n1, 20)
         assert np.sum(spec.eigenvalues == 0.0) == p - (n1 - 1)
-        assert spec.largest == largest_eigenvalue(spec)
 
     def test_singular_denominator_rejected(self):
         rng = np.random.default_rng(10)
