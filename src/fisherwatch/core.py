@@ -146,6 +146,13 @@ def validate_config(cfg: DetectionConfig, p: int) -> DetectionConfig:
         raise ConfigError(f"alpha={cfg.alpha} must lie in (0, 1)")
     if cfg.kappa not in (1, 2):
         raise ConfigError(f"kappa={cfg.kappa} must be 1 (complex) or 2 (real)")
+    # a fourth cumulant is at least -2 for real data (E x^4 >= (E x^2)^2)
+    # and at least -1 for complex data; below that nu_g can turn negative
+    if min(cfg.beta1, cfg.beta2) < -cfg.kappa:
+        raise ConfigError(
+            f"beta1={cfg.beta1} and beta2={cfg.beta2} must be at least "
+            f"-kappa={-cfg.kappa}, the smallest possible fourth cumulant"
+        )
     if (cfg.D, cfg.d1, cfg.d2, cfg.s) == (D, d1, d2, s):
         return cfg
     return replace(cfg, D=D, d1=d1, d2=d2, s=s)

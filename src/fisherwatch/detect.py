@@ -7,6 +7,8 @@ statistic compared with a closed-form threshold:
   upper support edge b of the limiting law (strict >);
 * ``deht`` flags windows whose standardized statistic |L_k| reaches the
   Gaussian quantile threshold (closed >=, matching the rejection region);
+  its traces come from the O(p^2)-per-step sliding engine
+  :func:`~fisherwatch.spectral.sliding_trace_sq_dev`;
 * ``mp`` is the Marchenko-Pastur baseline on the plain sample covariance
   (strict >).
 
@@ -40,10 +42,9 @@ from .rmt import (
 from .screening import screen
 from .spectral import (
     WindowSplit,
-    fisher_trace_sq_dev,
     normalize_rows,
     sample_covariance,
-    window_covariances,
+    sliding_trace_sq_dev,
     window_spectrum,
 )
 
@@ -89,23 +90,37 @@ def run_rule(flags, s: int) -> Optional[int]:
     return None
 
 
+def _per_window(statistic, cfg: DetectionConfig):
+    """Map ``statistic(window, context)`` over every window of an interval."""
+
+    def values(data: np.ndarray) -> np.ndarray:
+        return np.array(
+            [
+                statistic(w, f"window {w.start + 1}")
+                for w in slide_windows(data, cfg.d1, cfg.d2)
+            ]
+        )
+
+    return values
+
+
 def _dele(p: int, cfg: DetectionConfig):
     """Largest Fisher eigenvalue against the support edge b."""
     b = support_edges(p / (cfg.d1 - 1), p / (cfg.d2 - 1)).b
-    return b, lambda w, ctx: window_spectrum(w, ctx).largest
+    return b, _per_window(lambda w, ctx: window_spectrum(w, ctx).largest, cfg)
 
 
 def _deht(p: int, cfg: DetectionConfig):
-    """|L| from the trace fast path; no eigendecomposition per window."""
+    """|L| from the sliding trace engine; no eigendecomposition per window."""
     consts = clt_constants(
         p / (cfg.d1 - 1), p / (cfg.d2 - 1), cfg.kappa, cfg.beta1, cfg.beta2
     )
 
-    def statistic(w: WindowSplit, ctx: str) -> float:
-        trace = fisher_trace_sq_dev(*window_covariances(w, ctx), ctx)
-        return abs(statistic_value(trace, p, consts))
+    def values(data: np.ndarray) -> np.ndarray:
+        traces = sliding_trace_sq_dev(data, cfg.d1, cfg.d2)
+        return np.abs(statistic_value(traces, p, consts))
 
-    return rejection_threshold(cfg.alpha), statistic
+    return rejection_threshold(cfg.alpha), values
 
 
 def _mp(p: int, cfg: DetectionConfig):
@@ -116,12 +131,12 @@ def _mp(p: int, cfg: DetectionConfig):
         seg = normalize_rows(w.columns, ctx)
         return float(np.linalg.eigvalsh(sample_covariance(seg))[-1])
 
-    return edge, statistic
+    return edge, _per_window(statistic, cfg)
 
 
 #: method -> (setup, comparison). ``setup(p, cfg)`` returns the interval's
-#: threshold and the per-window statistic; a window is flagged when
-#: ``comparison(value, threshold)`` holds.
+#: threshold and a function from the interval's columns to its per-window
+#: values; a window is flagged when ``comparison(value, threshold)`` holds.
 _RULES = {
     "dele": (_dele, np.greater),
     "deht": (_deht, np.greater_equal),
@@ -139,13 +154,8 @@ def scan(
     interval. Returns the trace and the first detection, if any.
     """
     setup, comparison = _RULES[method]
-    threshold, statistic = setup(data.shape[0], cfg)
-    values = np.array(
-        [
-            statistic(w, f"window {w.start + 1}")
-            for w in slide_windows(data, cfg.d1, cfg.d2)
-        ]
-    )
+    threshold, values_of = setup(data.shape[0], cfg)
+    values = values_of(data)
     flags = comparison(values, threshold)
     trace = DetectorTrace(method, interval, values, threshold, flags)
     k_s = run_rule(flags, cfg.s)

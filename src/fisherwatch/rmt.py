@@ -145,8 +145,10 @@ def clt_constants(
     )
 
 
-def statistic_value(trace_sq_dev: float, p: int, consts: CltConstants) -> float:
-    """Standardized test statistic from the raw trace value."""
+def statistic_value(
+    trace_sq_dev: float | np.ndarray, p: int, consts: CltConstants
+) -> float | np.ndarray:
+    """Standardized test statistic from the raw trace value, elementwise on an array."""
     return (trace_sq_dev - p * consts.Fg - consts.mu_g) / math.sqrt(consts.nu_g)
 
 

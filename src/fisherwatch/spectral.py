@@ -1,7 +1,8 @@
 """Per-window linear algebra: normalization, covariances, Fisher spectra.
 
-All functions are pure; windows can be processed concurrently without
-shared state.
+The per-window kernels are pure functions of one window. The sliding
+engine :func:`sliding_trace_sq_dev` carries state from each window to
+the next, so one interval's windows run in order.
 """
 from __future__ import annotations
 
@@ -9,11 +10,27 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas
 
-from .errors import DegenerateChannelError, ShapeError, SingularCovarianceError
+from .errors import (
+    DegenerateChannelError,
+    RecordTooShortError,
+    ShapeError,
+    SingularCovarianceError,
+)
 
 #: relative tolerance on Cholesky pivots of S2, against its largest diagonal
 PIVOT_RTOL = 1e-10
+#: steps of the sliding engine between two direct refreshes
+REFRESH = 64
+#: the sliding engine refreshes a window directly instead of trusting its
+#: updates when a Sherman-Morrison denominator (a determinant ratio) falls
+#: below DENOMINATOR_FLOOR, when its lower bound on the smallest Cholesky
+#: pivot comes within PIVOT_MARGIN of the pivot floor, or when the
+#: backward error of its M exceeds RESIDUAL_TOL
+DENOMINATOR_FLOOR = 1e-3
+PIVOT_MARGIN = 1e3
+RESIDUAL_TOL = 3e-12
 
 
 @dataclass(frozen=True)
@@ -174,3 +191,116 @@ def window_spectrum(window: WindowSplit, context: str = "") -> FisherSpectrum:
     """Spectrum of F = S_probe S_ref^-1 for one window."""
     S_probe, S_ref = window_covariances(window, context)
     return fisher_eigenvalues(S_probe, S_ref, window.n2, window.n1, context)
+
+
+
+def sliding_trace_sq_dev(data: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """tr{(F - I)^2} of every step-1 window of an interval, in O(p^2) per step.
+
+    Window k (0-based) covers columns [k, k + d2 + d1): a leading
+    reference block of width d2 and a trailing probe block of width d1.
+    Each value equals ``fisher_trace_sq_dev(*window_covariances(w))`` to
+    about 1e-11 relative, and a window raises the error that path
+    raises, with the context ``window k+1``.
+
+    The Fisher spectrum is invariant to a per-row rescaling shared by
+    both blocks, and each block subtracts its own mean, so the interval
+    is scaled once per row instead of normalizing each window. A step
+    moves one column into and one out of each block, each a rank-1
+    (Welford) change of its scatter. B = S_ref^-1 follows by
+    Sherman-Morrison and M = B S_probe by rank-1 terms, in place; with
+    r = (d2-1)/(d1-1), tr F = r tr M and tr F^2 = r^2 sum(M * M^T).
+
+    A window is computed directly (``window_covariances``,
+    ``_cholesky_spd``) every REFRESH steps, where a channel is constant
+    across it, and where a guard does not trust the updates: a
+    denominator below DENOMINATOR_FLOOR; 1/max_i (S_ref^-1)_ii, a lower
+    bound on the smallest squared pivot, within PIVOT_MARGIN of the
+    pivot floor; or a relative residual |S_ref M x - S_probe x| above
+    RESIDUAL_TOL on two fixed random vectors x.
+    """
+    data = np.asarray(data, dtype=float)
+    p, W = data.shape
+    d = d1 + d2
+    K = W - d + 1
+    if K < 1:
+        raise RecordTooShortError(
+            f"interval of width {W} cannot hold one window of width {d}"
+        )
+    # repeats[i, t]: how many of row i's columns 1..t equal the column before
+    repeats = np.zeros((p, W), dtype=np.int64)
+    np.cumsum(data[:, 1:] == data[:, :-1], axis=1, out=repeats[:, 1:])
+    stuck = ((repeats[:, d - 1 :] - repeats[:, :K]) == d - 1).any(axis=0)
+
+    sd = data.std(axis=1, ddof=1)
+    sd[sd == 0.0] = 1.0  # a constant row makes every window stuck
+    Z = (data - data.mean(axis=1, keepdims=True)) / sd[:, None]
+    r = (d2 - 1) / (d1 - 1)
+    probes = np.random.default_rng(0).standard_normal((p, 2))
+    ger = blas.dger
+
+    def refresh(k: int):
+        """B, M and the two block means of window k, computed directly."""
+        cols = data[:, k : k + d]
+        ctx = f"window {k + 1}"
+        S_probe, S_ref = window_covariances(WindowSplit(k, d2, d1, cols), ctx)
+        L = _cholesky_spd(S_ref, ctx)
+        S_inv = linalg.cho_solve((L, True), np.eye(p), check_finite=False)
+        # the normalized columns are the scaled ones times D
+        D = sd / cols.std(axis=1, ddof=1)
+        B = np.asfortranarray(S_inv * np.outer(D, D) / (d2 - 1))
+        M = np.asfortranarray((S_inv @ S_probe) * np.outer(D, 1.0 / D) / r)
+        return B, M, [Z[:, k : k + d2].mean(axis=1), Z[:, k + d2 : k + d].mean(axis=1)]
+
+    def step(k: int, B, M, means) -> bool:
+        """Slide from window k-1 to k in place; False where a guard trips."""
+        # (block, column, added): the probe (1) gains column k-1+d and
+        # hands column k-1+d2 to the reference (0), which drops column k-1
+        for block, col, added in (
+            (1, k - 1 + d, True), (1, k - 1 + d2, False),
+            (0, k - 1 + d2, True), (0, k - 1, False),
+        ):
+            n = (d2, d1)[block] + (not added)  # columns before the move
+            v = Z[:, col] - means[block]
+            if added:
+                means[block] += v / (n + 1)
+                c = n / (n + 1)
+            else:
+                means[block] -= v / (n - 1)
+                c = -n / (n - 1)
+            w = B @ v
+            if block:  # S_probe += c v v^T
+                ger(c, w, v, a=M, overwrite_a=True)
+                continue
+            den = 1.0 + c * (v @ w)  # S_ref += c v v^T
+            if not den >= DENOMINATOR_FLOOR:
+                return False
+            z = M.T @ v
+            ger(-c / den, w, w, a=B, overwrite_a=True)
+            ger(-c / den, w, z, a=M, overwrite_a=True)
+        ref = Z[:, k : k + d2] - means[0][:, None]
+        probe = Z[:, k + d2 : k + d] - means[1][:, None]
+        # the pivot bound in normalized units: row scatters of the reference
+        # and of the whole window (each up to a factor that cancels)
+        ss_ref = np.einsum("ij,ij->i", ref, ref)
+        ss = ss_ref + np.einsum("ij,ij->i", probe, probe)
+        ss += (d1 * d2 / d) * (means[0] - means[1]) ** 2
+        bound = np.max(ss_ref / ss) * np.max(B.diagonal() * ss)
+        if not bound * PIVOT_RTOL * PIVOT_MARGIN < 1.0:
+            return False
+        SY = ref @ (ref.T @ (M @ probes))
+        SX = probe @ (probe.T @ probes)
+        res = np.linalg.norm(SY - SX) / (np.linalg.norm(SY) + np.linalg.norm(SX))
+        return bool(res <= RESIDUAL_TOL)
+
+    values = np.empty(K)
+    B, M, means = refresh(0)
+    since = 0
+    for k in range(K):
+        if k:
+            since += 1
+            if stuck[k] or since >= REFRESH or not step(k, B, M, means):
+                B, M, means = refresh(k)
+                since = 0
+        values[k] = r * r * np.einsum("ij,ji->", M, M) - 2.0 * r * np.trace(M) + p
+    return values

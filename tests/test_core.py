@@ -102,6 +102,9 @@ class TestValidateConfig:
             {"D": 41},
             {"d2": 41},
             {"D": 45, "d1": 50, "d2": 50},
+            {"beta1": -2.5},
+            {"beta2": -50.0},
+            {"kappa": 1, "beta1": -1.5},
         ],
     )
     def test_constraint_violations(self, kwargs):

@@ -6,10 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from fisherwatch.core import DetectionConfig, StateMatrix, validate_config
 from fisherwatch.detect import METHODS, localize, run_rule, scan, slide_windows
-from fisherwatch.errors import ConfigError, RecordTooShortError
+from fisherwatch.errors import (
+    ConfigError,
+    DegenerateChannelError,
+    FisherwatchError,
+    RecordTooShortError,
+    SingularCovarianceError,
+)
 from fisherwatch.rmt import clt_constants
 from fisherwatch.screening import screen
 from fisherwatch.simgen import CovarianceEvent, Scenario, generate
+from fisherwatch.spectral import fisher_trace_sq_dev, window_covariances
 
 #: each method's flag rule: strict for the edge detectors, closed for |L|
 COMPARISONS = {"dele": np.greater, "deht": np.greater_equal, "mp": np.greater}
@@ -172,6 +179,48 @@ class TestScans:
             assert trace.values[k] == pytest.approx(ref, rel=1e-8), k
 
 
+class TestStuckChannel:
+    """deht raises where and what the per-window kernels raise."""
+
+    def stuck_interval(self, first, last):
+        # channel 5 reads 0.25 at samples first..last (1-based) and varies
+        # elsewhere in the interval [901, 1300]
+        values = generate(Scenario(p=20, T=2000, seed=3))[0].values.copy()
+        values[4, first - 1 : last] = 0.25
+        return values[:, 900:1300]
+
+    def direct_error(self, data, cfg):
+        for w in slide_windows(data, cfg.d1, cfg.d2):
+            ctx = f"window {w.start + 1}"
+            try:
+                fisher_trace_sq_dev(*window_covariances(w, ctx), ctx)
+            except FisherwatchError as exc:
+                return exc
+        raise AssertionError("the direct path raised nowhere")
+
+    @pytest.mark.parametrize(
+        "first, last, error",
+        [
+            # stuck across whole windows (width d = 40)
+            (1001, 1150, DegenerateChannelError),
+            # stuck across the reference block (d2 = 30) of some windows only
+            (1001, 1035, SingularCovarianceError),
+        ],
+    )
+    def test_same_error_as_direct_path(self, first, last, error):
+        cfg = validate_config(DetectionConfig(), 20)
+        data = self.stuck_interval(first, last)
+        expected = self.direct_error(data, cfg)
+        assert type(expected) is error
+        with pytest.raises(error) as err:
+            scan(data, cfg, (901, 1300), "deht")
+        assert err.value.code == expected.code
+        assert str(err.value) == str(expected)
+        assert f"(window {first - 900})" in str(expected)
+        if error is DegenerateChannelError:
+            assert err.value.row == expected.row == 5
+
+
 class TestLocalize:
     def test_unknown_method(self):
         X = event_record()
@@ -216,6 +265,8 @@ def config_and_record(draw):
         s=draw(st.none() | st.integers(1, 8)),
         alpha=draw(st.sampled_from([0.01, 0.05, 0.2])),
         kappa=draw(st.sampled_from([1, 2])),
+        beta1=draw(st.floats(-2.0, 5.0)),
+        beta2=draw(st.floats(-2.0, 5.0)),
         profile=draw(st.sampled_from(["distribution", "transmission"])),
     )
     return p, cfg, draw(st.integers(0, 2**32 - 1))

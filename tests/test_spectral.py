@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fisherwatch.errors import DegenerateChannelError, ShapeError, SingularCovarianceError
+from fisherwatch.blas import single_threaded
+from fisherwatch.errors import (
+    DegenerateChannelError,
+    RecordTooShortError,
+    ShapeError,
+    SingularCovarianceError,
+)
 from fisherwatch.spectral import (
+    REFRESH,
     FisherSpectrum,
     WindowSplit,
     fisher_eigenvalues,
     fisher_trace_sq_dev,
     normalize_rows,
     sample_covariance,
+    sliding_trace_sq_dev,
+    window_covariances,
     window_spectrum,
 )
 
@@ -182,3 +191,77 @@ class TestWindowSpectrum:
         cols2[:2, n1:] *= 6.0
         loud = window_spectrum(WindowSplit(start=0, n1=n1, n2=n2, columns=cols2))
         assert loud.largest > 4.0 * quiet.largest
+
+
+def direct_traces(data, d1, d2):
+    """tr{(F - I)^2} of every window from the per-window kernels."""
+    d = d1 + d2
+    traces = []
+    for k in range(data.shape[1] - d + 1):
+        w, ctx = WindowSplit(k, d2, d1, data[:, k : k + d]), f"window {k + 1}"
+        traces.append(fisher_trace_sq_dev(*window_covariances(w, ctx), ctx))
+    return np.array(traces)
+
+
+STREAMS = ("gaussian", "pmu", "scales", "jump", "ar1")
+
+
+def oracle_stream(kind, p, W, rng):
+    g = rng.standard_normal((p, W))
+    if kind == "gaussian":
+        return g
+    if kind == "pmu":
+        return 1.0 + 1e-4 * g
+    if kind == "scales":  # channel scales 1e-3 .. 1e3
+        return g * np.logspace(-3, 3, p)[:, None]
+    if kind == "jump":
+        g[:, W // 2 :] *= 1e3
+        return g
+    # near-singular reference: AR(1) columns with coefficient 0.95
+    x = g.copy()
+    for t in range(1, W):
+        x[:, t] += 0.95 * x[:, t - 1]
+    return x
+
+
+class TestSlidingTraceSqDev:
+    @pytest.mark.parametrize("kind", STREAMS)
+    @pytest.mark.parametrize("p", [5, 20, 80])
+    def test_matches_direct_kernels_on_every_window(self, p, kind):
+        # the default geometry, except d2 = p+2 for the near-singular case
+        d1 = max(p - 10, 2)
+        d2 = p + 2 if kind == "ar1" else p + 10
+        W = d1 + d2 + 3 * REFRESH + 40
+        data = oracle_stream(kind, p, W, np.random.default_rng([p, STREAMS.index(kind)]))
+        with single_threaded():  # as on the scan path
+            direct = direct_traces(data, d1, d2)
+            fast = sliding_trace_sq_dev(data, d1, d2)
+        assert fast.shape == direct.shape == (W - d1 - d2 + 1,)
+        assert np.max(np.abs(fast - direct) / np.abs(direct)) < 1e-10
+
+    def test_too_short(self):
+        with pytest.raises(RecordTooShortError):
+            sliding_trace_sq_dev(np.zeros((4, 10)), 6, 9)
+
+    @pytest.mark.parametrize("decades", [8, 12])
+    def test_converging_channel_raises_at_the_direct_window(self, decades):
+        # channel 2 closes in on channel 1 by `decades` orders of magnitude,
+        # so the reference pivot crosses the floor without any single
+        # update looking singular
+        p, d1, d2, W = 20, 10, 30, 400
+        rng = np.random.default_rng(decades)
+        data = rng.standard_normal((p, W))
+        data[1] = data[0] + 10.0 ** (-decades * np.arange(W) / W) * rng.standard_normal(W)
+        with pytest.raises(SingularCovarianceError) as direct:
+            direct_traces(data, d1, d2)
+        with pytest.raises(SingularCovarianceError) as fast:
+            sliding_trace_sq_dev(data, d1, d2)
+        assert str(fast.value) == str(direct.value)
+
+    def test_constant_row_raises_at_first_window(self):
+        data = np.random.default_rng(13).standard_normal((5, 60))
+        data[3] = 2.0
+        with pytest.raises(DegenerateChannelError) as err:
+            sliding_trace_sq_dev(data, 4, 8)
+        assert err.value.row == 4
+        assert "window 1" in str(err.value)
