@@ -20,7 +20,6 @@ from .detect import METHODS, localize
 from .errors import ConfigError, FisherwatchError, ShapeError
 from .screening import screen
 from .simgen import generate
-from .validate import esd_vs_lsd_ks, null_calibration
 
 DEFAULT_SEED = 12345
 MIN_REPS = 100
@@ -92,6 +91,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_validate_null(args) -> int:
+    from .validate import esd_vs_lsd_ks, null_calibration  # only command that needs scipy.stats
     if args.reps < MIN_REPS:
         raise ConfigError(f"need at least {MIN_REPS} replications, got {args.reps}")
     cfg = _load_config(args)

@@ -31,38 +31,36 @@ def write_state_csv(path, X: StateMatrix, header: bool = True):
         if header:
             w.writerow(["channel"] + [str(t) for t in range(1, X.T + 1)])
         for cid, row in zip(X.channel_ids, X.values):
-            w.writerow([cid] + [repr(float(v)) for v in row])
+            w.writerow([cid, *map(repr, row.tolist())])
+
+
+def _data_cells(rec) -> Optional[np.ndarray]:
+    """The cells after the id as floats; None if there are none or one is not a number."""
+    try:
+        return np.array(rec[1:], dtype=float) if len(rec) > 1 else None
+    except ValueError:
+        return None
 
 
 def read_state_csv(path, transpose: bool = False) -> StateMatrix:
     """Parse a channel-per-row CSV; ``transpose`` accepts column-major exports."""
-    rows = []
     try:
         with open(path, newline="") as fh:
-            for rec in csv.reader(fh):
-                if rec:
-                    rows.append(rec)
+            rows = [(rec[0], _data_cells(rec)) for rec in csv.reader(fh) if rec]
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
     # header row: non-numeric data cells, or a label in the id column
     # (sample indices in a header parse as floats, so check both)
-    def is_data(rec):
-        try:
-            [float(v) for v in rec[1:]]
-            return len(rec) > 1
-        except ValueError:
-            return False
-
     header_labels = {"", "channel", "sample", "time", "index"}
-    if rows[0][0].strip().lower() in header_labels or not is_data(rows[0]):
+    if rows[0][0].strip().lower() in header_labels or rows[0][1] is None:
         rows = rows[1:]
-    if not rows or not all(is_data(r) for r in rows):
+    if not rows or any(cells is None for _, cells in rows):
         raise DataError(f"{path}: not a numeric channel-per-row CSV")
-    ids = [r[0] for r in rows]
+    ids = [cid for cid, _ in rows]
     try:
-        values = np.array([[float(v) for v in r[1:]] for r in rows])
+        values = np.vstack([cells for _, cells in rows])
     except ValueError as exc:
         raise DataError(f"{path}: ragged or non-numeric rows") from exc
     if transpose:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import ConfigError
 
@@ -92,6 +92,7 @@ def lsd_cdf(x: float, params: LsdParams) -> float:
         return 1.0
     if x < params.a:
         return params.mass_at_zero
+    from scipy import integrate  # here, its one user, to keep it off the CLI's import
     a, b = params.a, params.b
     theta = math.asin(math.sqrt((x - a) / (b - a)))
 

@@ -7,7 +7,6 @@ test statistic and the eigenvalue bulk against their limiting laws.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .blas import single_threaded
 from .rmt import clt_constants, lsd_cdf, rejection_threshold, statistic_value, support_edges
@@ -34,6 +33,7 @@ def null_statistic_sample(p, n1, n2, reps, seed=0) -> np.ndarray:
 
 def null_calibration(p, n1, n2, reps, alpha=0.01, seed=0) -> dict:
     """Empirical mean/sd/size of L plus a KS distance against N(0, 1)."""
+    from scipy import stats  # here, its one user, to keep it off the CLI's import
     Ls = null_statistic_sample(p, n1, n2, reps, seed)
     threshold = rejection_threshold(alpha)
     ks = stats.kstest(Ls, "norm").statistic

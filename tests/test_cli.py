@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import fisherwatch
 from fisherwatch import io
 from fisherwatch.cli import main
 from fisherwatch.simgen import Scenario, generate
@@ -210,3 +214,16 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("config-error:")
+
+
+def test_cli_import_leaves_out_scipy_stats_and_integrate():
+    """screen and detect never use them; validate-null and lsd_cdf load them on call."""
+    src = Path(fisherwatch.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fisherwatch.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

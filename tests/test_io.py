@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fisherwatch import io
-from fisherwatch.core import DetectionConfig, validate_config
+from fisherwatch.core import DetectionConfig, StateMatrix, validate_config
 from fisherwatch.errors import ConfigError, DataError, ScenarioError
 from fisherwatch.screening import screen
 from fisherwatch.simgen import Scenario, generate
@@ -52,6 +52,76 @@ class TestStateCsv:
         path.write_text("ch1,1.0,2.0\nch2,apple,3.0\n")
         with pytest.raises(DataError):
             io.read_state_csv(path)
+
+    def test_write_bytes_exact(self, tmp_path):
+        X = StateMatrix(values=[[1.0, -0.0, 5e-324], [0.1, 1e16, 2.5]], channel_ids=("a,b", "c"))
+        path = tmp_path / "out.csv"
+        io.write_state_csv(path, X)
+        assert path.read_bytes() == (
+            b'channel,1,2,3\r\n"a,b",1.0,-0.0,5e-324\r\nc,0.1,1e+16,2.5\r\n'
+        )
+
+
+def read_text_csv(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    return io.read_state_csv(path)
+
+
+class TestReaderEdgeCases:
+    """Behaviour of the CSV reader on inputs a hand-made export may contain."""
+
+    def test_quoted_id_with_comma(self, tmp_path):
+        X = read_text_csv(tmp_path, '"bus 1, phase A",1.5,2\n"bus 2, phase B",3,-4\n')
+        assert X.channel_ids == ("bus 1, phase A", "bus 2, phase B")
+        assert X.values.tolist() == [[1.5, 2.0], [3.0, -4.0]]
+
+    @pytest.mark.parametrize("label", ["", "channel", " Channel "])
+    def test_labelled_header_dropped(self, tmp_path, label):
+        X = read_text_csv(tmp_path, f"{label},1,2,3\nch1,1,2,3\nch2,4,5,6\n")
+        assert X.channel_ids == ("ch1", "ch2")
+        assert X.values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    def test_header_only(self, tmp_path):
+        with pytest.raises(DataError, match="not a numeric channel-per-row CSV"):
+            read_text_csv(tmp_path, "channel,1,2,3\n")
+
+    def test_blank_lines_between_rows(self, tmp_path):
+        X = read_text_csv(tmp_path, "\nch1,1,2\n\n\nch2,3,4\n\n")
+        assert X.channel_ids == ("ch1", "ch2")
+        assert X.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_blank_lines_only(self, tmp_path):
+        with pytest.raises(DataError, match="empty file"):
+            read_text_csv(tmp_path, "\n\n\n")
+
+    def test_row_with_only_an_id(self, tmp_path):
+        with pytest.raises(DataError, match="not a numeric channel-per-row CSV"):
+            read_text_csv(tmp_path, "ch1,1,2\nch2\nch3,5,6\n")
+
+    def test_first_row_with_only_an_id_is_a_header(self, tmp_path):
+        X = read_text_csv(tmp_path, "ch0\nch1,1,2\nch2,3,4\n")
+        assert X.channel_ids == ("ch1", "ch2")
+
+    def test_ragged_row(self, tmp_path):
+        with pytest.raises(DataError, match="ragged or non-numeric rows"):
+            read_text_csv(tmp_path, "ch1,1,2,3\nch2,4,5\n")
+
+    def test_whitespace_padded_cells(self, tmp_path):
+        X = read_text_csv(tmp_path, "ch1, 1.5 ,\t2\n ch2 ,3 , 4e0\n")
+        assert X.channel_ids == ("ch1", " ch2 ")
+        assert X.values.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+    def test_exact_float_round_trip(self, tmp_path):
+        cells = ["-0.0", "5e-324", "1.7976931348623157e308",
+                 "0.10000000000000001", "1.2345678901234567e-07", "-9.8765432109876543e+20"]
+        X = read_text_csv(tmp_path, f"a,{','.join(cells)}\nb,{','.join(reversed(cells))}\n")
+        expected = np.array([[float(c) for c in cells], [float(c) for c in reversed(cells)]])
+        assert X.values.tobytes() == expected.tobytes()
+        assert np.signbit(X.values[0, 0]) and X.values[0, 1] == 5e-324
+        path = tmp_path / "out.csv"
+        io.write_state_csv(path, X)
+        assert io.read_state_csv(path).values.tobytes() == expected.tobytes()
 
 
 class TestConfigJson:
