@@ -11,11 +11,11 @@ import json
 import statistics as pystats
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import io
-from .core import validate_config
+from .core import DetectionConfig, validate_config
 from .detect import METHODS, localize
 from .errors import ConfigError, FisherwatchError, ShapeError
 from .screening import screen
@@ -35,9 +35,7 @@ def _out_dir(args) -> Path:
 
 
 def _load_config(args):
-    if args.config:
-        return io.parse_config(io.load_json(args.config))
-    return io.parse_config({})
+    return io.parse_config(io.load_json(args.config)) if args.config else DetectionConfig()
 
 
 def cmd_simulate(args) -> int:
@@ -69,7 +67,7 @@ def cmd_screen(args) -> int:
     io.write_screen_series(series_path, result)
     io.write_manifest(
         out, "screen", [args.data], [report_path, series_path],
-        config=io.config_echo(cfg),
+        config=asdict(cfg),
     )
     return 0
 
@@ -85,7 +83,7 @@ def cmd_detect(args) -> int:
     io.write_detect_traces(traces_path, report)
     io.write_manifest(
         out, "detect", [args.data], [report_path, traces_path],
-        config=io.config_echo(cfg),
+        config=asdict(cfg),
     )
     return 0
 
@@ -94,8 +92,7 @@ def cmd_validate_null(args) -> int:
     from .validate import esd_vs_lsd_ks, null_calibration  # only command that needs scipy.stats
     if args.reps < MIN_REPS:
         raise ConfigError(f"need at least {MIN_REPS} replications, got {args.reps}")
-    cfg = _load_config(args)
-    cfg = validate_config(cfg, args.p)
+    cfg = validate_config(_load_config(args), args.p)
     calib = null_calibration(
         args.p, args.n1, args.n2, args.reps, alpha=cfg.alpha, seed=args.seed
     )
@@ -121,7 +118,7 @@ def cmd_validate_null(args) -> int:
     inputs = [args.config] if args.config else []
     io.write_manifest(
         out, "validate-null", inputs, [calib_path],
-        seed=args.seed, config=io.config_echo(cfg),
+        seed=args.seed, config=asdict(cfg),
     )
     return 0
 
@@ -151,7 +148,7 @@ def cmd_bench(args) -> int:
         },
     )
     io.write_manifest(
-        out, "bench", [args.data], [timings_path], config=io.config_echo(cfg)
+        out, "bench", [args.data], [timings_path], config=asdict(cfg)
     )
     return 0
 

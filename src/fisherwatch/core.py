@@ -6,6 +6,8 @@ conversion happens at the report boundary.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -28,7 +30,6 @@ class StateMatrix:
 
     values: np.ndarray
     channel_ids: tuple[str, ...]
-    sample_rate_hz: Optional[float] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -63,7 +64,6 @@ class StateMatrix:
 def build_state_matrix(
     rows: Sequence[Sequence[float]],
     channel_ids: Optional[Sequence[str]] = None,
-    sample_rate_hz: Optional[float] = None,
 ) -> StateMatrix:
     """Stack equal-length channel series into a state matrix, row order preserved."""
     if len(rows) < 2:
@@ -76,7 +76,6 @@ def build_state_matrix(
     return StateMatrix(
         values=np.asarray(rows, dtype=float),
         channel_ids=tuple(channel_ids),
-        sample_rate_hz=sample_rate_hz,
     )
 
 
@@ -84,7 +83,7 @@ def build_state_matrix(
 class DetectionConfig:
     """Tuning parameters for screening and point-by-point detection.
 
-    Unset (None) values are filled from the profile defaults by
+    Unset (None) window fields are filled from the profile defaults by
     :func:`validate_config`: d1 = p - 10, d2 = p + 10, D per profile but
     at least ceil(d / 2), plus the profile's consecutive-rejection count s.
     """
@@ -101,27 +100,44 @@ class DetectionConfig:
 
     @property
     def d(self) -> int:
-        if self.d1 is None or self.d2 is None:
-            raise ConfigError("window widths unset; call validate_config first")
         return self.d1 + self.d2
 
 
-def validate_config(cfg: DetectionConfig, p: int) -> DetectionConfig:
-    """Fill defaults for dimension p and enforce all parameter constraints.
+def _integer(cfg: DetectionConfig, name: str) -> int:
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name}={value!r} must be an integer")
+    return int(value)
 
-    Idempotent: a config that needs no default filled is returned as is.
-    The bounds keep every aspect ratio p/(n-1) of a reference block below
-    1 and let every screened interval, at least 2D wide, hold one window.
+
+def _real(cfg: DetectionConfig, name: str) -> float:
+    value = getattr(cfg, name)
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value)):
+        raise ConfigError(f"{name}={value!r} must be a finite real number")
+    return float(value)
+
+
+def validate_config(cfg: DetectionConfig, p: int) -> DetectionConfig:
+    """Fill defaults for dimension p, check every field's type and bounds.
+
+    Returns a copy with D, d1, d2, s and kappa as ``int`` and alpha,
+    beta1 and beta2 as ``float``; validating it again gives an equal
+    config. The bounds keep every aspect ratio p/(n-1) of a reference
+    block below 1 and let every screened interval, at least 2D wide,
+    hold one window.
     """
     if p < 2:
         raise ConfigError(f"need p >= 2 channels, got p={p}")
-    if cfg.profile not in PROFILES:
+    if not isinstance(cfg.profile, str) or cfg.profile not in PROFILES:
         raise ConfigError(f"unknown profile {cfg.profile!r}")
     prof = PROFILES[cfg.profile]
-    d1 = cfg.d1 if cfg.d1 is not None else max(p - 10, 2)
-    d2 = cfg.d2 if cfg.d2 is not None else p + 10
-    D = cfg.D if cfg.D is not None else max(prof["D"](p), (d1 + d2 + 1) // 2)
-    s = cfg.s if cfg.s is not None else prof["s"]
+    d1 = max(p - 10, 2) if cfg.d1 is None else _integer(cfg, "d1")
+    d2 = p + 10 if cfg.d2 is None else _integer(cfg, "d2")
+    D = max(prof["D"](p), (d1 + d2 + 1) // 2) if cfg.D is None else _integer(cfg, "D")
+    s = prof["s"] if cfg.s is None else _integer(cfg, "s")
+    kappa = _integer(cfg, "kappa")
+    alpha, beta1, beta2 = (_real(cfg, name) for name in ("alpha", "beta1", "beta2"))
 
     if d2 < p + 2:
         raise ConfigError(
@@ -142,20 +158,21 @@ def validate_config(cfg: DetectionConfig, p: int) -> DetectionConfig:
         )
     if s < 1:
         raise ConfigError(f"consecutive count s={s} must be >= 1")
-    if not 0.0 < cfg.alpha < 1.0:
-        raise ConfigError(f"alpha={cfg.alpha} must lie in (0, 1)")
-    if cfg.kappa not in (1, 2):
-        raise ConfigError(f"kappa={cfg.kappa} must be 1 (complex) or 2 (real)")
+    # below about 2.2e-16 the quantile level 1 - alpha/2 rounds to 1
+    if not 0.0 < alpha < 1.0 or 1.0 - alpha / 2.0 == 1.0:
+        raise ConfigError(f"alpha={alpha} must lie in (0, 1), with 1 - alpha/2 < 1")
+    if kappa not in (1, 2):
+        raise ConfigError(f"kappa={kappa} must be 1 (complex) or 2 (real)")
     # a fourth cumulant is at least -2 for real data (E x^4 >= (E x^2)^2)
     # and at least -1 for complex data; below that nu_g can turn negative
-    if min(cfg.beta1, cfg.beta2) < -cfg.kappa:
+    if min(beta1, beta2) < -kappa:
         raise ConfigError(
-            f"beta1={cfg.beta1} and beta2={cfg.beta2} must be at least "
-            f"-kappa={-cfg.kappa}, the smallest possible fourth cumulant"
+            f"beta1={beta1} and beta2={beta2} must be at least "
+            f"-kappa={-kappa}, the smallest possible fourth cumulant"
         )
-    if (cfg.D, cfg.d1, cfg.d2, cfg.s) == (D, d1, d2, s):
-        return cfg
-    return replace(cfg, D=D, d1=d1, d2=d2, s=s)
+    return replace(
+        cfg, D=D, d1=d1, d2=d2, s=s, alpha=alpha, kappa=kappa, beta1=beta1, beta2=beta2
+    )
 
 
 @dataclass(frozen=True)
@@ -182,8 +199,8 @@ class FaultReport:
 
     screened_intervals: tuple[tuple[int, int], ...]
     detections: tuple[DetectionRecord, ...]
+    config: DetectionConfig
     traces: tuple = ()
-    config: Optional[DetectionConfig] = None
 
     def __post_init__(self):
         ivs = self.screened_intervals

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional
 
@@ -80,33 +81,14 @@ def load_json(path) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def parse_config(doc: dict) -> DetectionConfig:
-    known = {"D", "d1", "d2", "s", "alpha", "kappa", "beta1", "beta2", "profile"}
-    unknown = set(doc) - known
+def parse_config(doc) -> DetectionConfig:
+    """The config a JSON document sets; its values are checked by validate_config."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - {f.name for f in fields(DetectionConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    defaults = DetectionConfig()
-    return DetectionConfig(
-        D=doc.get("D"),
-        d1=doc.get("d1"),
-        d2=doc.get("d2"),
-        s=doc.get("s"),
-        alpha=float(doc.get("alpha", defaults.alpha)),
-        kappa=int(doc.get("kappa", defaults.kappa)),
-        beta1=float(doc.get("beta1", defaults.beta1)),
-        beta2=float(doc.get("beta2", defaults.beta2)),
-        profile=doc.get("profile", defaults.profile),
-    )
-
-
-def config_echo(cfg: Optional[DetectionConfig]) -> dict:
-    if cfg is None:
-        return {}
-    return {
-        "D": cfg.D, "d1": cfg.d1, "d2": cfg.d2, "s": cfg.s,
-        "alpha": cfg.alpha, "kappa": cfg.kappa,
-        "beta1": cfg.beta1, "beta2": cfg.beta2, "profile": cfg.profile,
-    }
+    return DetectionConfig(**doc)
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -164,7 +146,7 @@ def screen_report(result: ScreenResult, cfg: DetectionConfig) -> dict:
         "rejections": [bool(v) for v in result.rejections],
         "raw_intervals": [list(iv) for iv in result.raw_intervals],
         "merged_intervals": [list(iv) for iv in result.merged_intervals],
-        "config": config_echo(cfg),
+        "config": asdict(cfg),
     }
 
 
@@ -184,7 +166,7 @@ def detect_report(report: FaultReport, method: str) -> dict:
             }
             for d in report.detections
         ],
-        "config": config_echo(report.config),
+        "config": asdict(report.config),
     }
 
 

@@ -42,11 +42,6 @@ class CltConstants:
     Fg: float
     mu_g: float
     nu_g: float
-    y_tau: float
-    y_T: float
-    kappa: int
-    beta1: float
-    beta2: float
 
 
 def _check_ratios(y1: float, y2: float):
@@ -140,10 +135,7 @@ def clt_constants(
         raise ConfigError(
             f"limiting variance is not positive (nu_g={nu_g}); check beta1/beta2"
         )
-    return CltConstants(
-        Fg=Fg, mu_g=mu_g, nu_g=nu_g,
-        y_tau=y_tau, y_T=y_T, kappa=kappa, beta1=beta1, beta2=beta2,
-    )
+    return CltConstants(Fg=Fg, mu_g=mu_g, nu_g=nu_g)
 
 
 def statistic_value(

@@ -208,12 +208,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("record-too-short:")
 
     def test_bad_config_value(self, tmp_path, data_file, capsys):
+        # out of bounds, of the wrong type (an integral float counts), or not an object
+        bad = [{"alpha": 7.0}, {"D": 60.5}, {"d1": 30.0}, {"s": "16"}, {"s": 8.9},
+               {"kappa": 2.7}, {"alpha": None}, {"alpha": "0.01"}, {"profile": ["x"]},
+               {"D": True}, {"beta1": float("nan")}, 5]
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"alpha": 7.0}))
-        code = main(["screen", str(data_file), "--config", str(cfg),
-                     "--out-dir", str(tmp_path)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("config-error:")
+        for doc in bad:
+            cfg.write_text(json.dumps(doc))
+            for command in ("screen", "detect"):
+                code = main([command, str(data_file), "--config", str(cfg),
+                             "--out-dir", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                assert code == 2, (command, doc, err)
+                assert err.startswith("config-error:"), (command, doc, err)
+                assert err.rstrip().count("\n") == 0, (command, doc, err)
 
 
 def test_cli_import_leaves_out_scipy_stats_and_integrate():

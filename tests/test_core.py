@@ -1,7 +1,10 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fisherwatch import io
 from fisherwatch.core import (
     PROFILES,
     DetectionConfig,
@@ -76,17 +79,14 @@ class TestValidateConfig:
         assert cfg.d1 == 2
 
     def test_idempotent(self):
+        # the config echoed in report.json reproduces the run
         cfg = validate_config(DetectionConfig(), 40)
-        assert validate_config(cfg, 40) is cfg
+        assert validate_config(io.parse_config(asdict(cfg)), 40) == cfg
 
     def test_revalidated_for_new_dimension(self):
         cfg = validate_config(DetectionConfig(), 40)
         cfg2 = validate_config(DetectionConfig(profile=cfg.profile), 80)
         assert cfg2.D == 240
-
-    def test_d_requires_validation(self):
-        with pytest.raises(ConfigError):
-            DetectionConfig().d
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -105,6 +105,17 @@ class TestValidateConfig:
             {"beta1": -2.5},
             {"beta2": -50.0},
             {"kappa": 1, "beta1": -1.5},
+            {"D": 60.5},
+            {"d1": 30.0},
+            {"s": "16"},
+            {"s": 8.9},
+            {"kappa": 2.7},
+            {"alpha": None},
+            {"alpha": "0.01"},
+            {"profile": ["x"]},
+            {"D": True},
+            {"beta1": float("nan")},
+            {"alpha": 1e-17},
         ],
     )
     def test_constraint_violations(self, kwargs):
@@ -136,8 +147,13 @@ class TestReports:
             DetectionRecord(interval=(10, 50), fault_time=51, detector="dele", trigger_window=5)
 
     def test_report_requires_sorted_disjoint_intervals(self):
-        FaultReport(screened_intervals=((1, 5), (7, 9)), detections=())
+        cfg = validate_config(DetectionConfig(), 4)
+
+        def report(*intervals):
+            return FaultReport(screened_intervals=intervals, detections=(), config=cfg)
+
+        report((1, 5), (7, 9))
         with pytest.raises(ShapeError):
-            FaultReport(screened_intervals=((7, 9), (1, 5)), detections=())
+            report((7, 9), (1, 5))
         with pytest.raises(ShapeError):
-            FaultReport(screened_intervals=((1, 5), (5, 9)), detections=())
+            report((1, 5), (5, 9))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -137,8 +138,7 @@ class TestConfigJson:
 
     def test_echo_after_validation(self):
         cfg = validate_config(io.parse_config({}), 40)
-        echo = io.config_echo(cfg)
-        assert echo == {
+        assert asdict(cfg) == {
             "D": 120, "d1": 30, "d2": 50, "s": 16,
             "alpha": 0.01, "kappa": 2, "beta1": 0.0, "beta2": 0.0,
             "profile": "distribution",
