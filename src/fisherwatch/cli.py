@@ -92,6 +92,10 @@ def cmd_validate_null(args) -> int:
     from .validate import esd_vs_lsd_ks, null_calibration  # only command that needs scipy.stats
     if args.reps < MIN_REPS:
         raise ConfigError(f"need at least {MIN_REPS} replications, got {args.reps}")
+    for flag, value, least in (("--n1", args.n1, 2), ("--n2", args.n2, 2),
+                               ("--esd-p", args.esd_p, 1)):
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     cfg = validate_config(_load_config(args), args.p)
     calib = null_calibration(
         args.p, args.n1, args.n2, args.reps, alpha=cfg.alpha, seed=args.seed
@@ -124,6 +128,8 @@ def cmd_validate_null(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
     X = io.read_state_csv(args.data, transpose=args.transpose)
     cfg = validate_config(_load_config(args), X.p)
     timings = {}

@@ -84,8 +84,9 @@ class DetectionConfig:
     """Tuning parameters for screening and point-by-point detection.
 
     Unset (None) window fields are filled from the profile defaults by
-    :func:`validate_config`: d1 = p - 10, d2 = p + 10, D per profile but
-    at least ceil(d / 2), plus the profile's consecutive-rejection count s.
+    :func:`validate_config`: d1 = max(p - 10, 2), d2 = p + 10, D per
+    profile but at least ceil(d / 2), plus the profile's
+    consecutive-rejection count s.
     """
 
     D: Optional[int] = None

@@ -90,53 +90,39 @@ def run_rule(flags, s: int) -> Optional[int]:
     return None
 
 
-def _per_window(statistic, cfg: DetectionConfig):
-    """Map ``statistic(window, context)`` over every window of an interval."""
-
-    def values(data: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                statistic(w, f"window {w.start + 1}")
-                for w in slide_windows(data, cfg.d1, cfg.d2)
-            ]
-        )
-
-    return values
-
-
-def _dele(p: int, cfg: DetectionConfig):
+def _dele(data: np.ndarray, cfg: DetectionConfig):
     """Largest Fisher eigenvalue against the support edge b."""
+    p = data.shape[0]
     b = support_edges(p / (cfg.d1 - 1), p / (cfg.d2 - 1)).b
-    return b, _per_window(lambda w, ctx: window_spectrum(w, ctx).largest, cfg)
+    return b, np.array([
+        window_spectrum(w, f"window {w.start + 1}").largest
+        for w in slide_windows(data, cfg.d1, cfg.d2)
+    ])
 
 
-def _deht(p: int, cfg: DetectionConfig):
+def _deht(data: np.ndarray, cfg: DetectionConfig):
     """|L| from the sliding trace engine; no eigendecomposition per window."""
+    p = data.shape[0]
     consts = clt_constants(
         p / (cfg.d1 - 1), p / (cfg.d2 - 1), cfg.kappa, cfg.beta1, cfg.beta2
     )
-
-    def values(data: np.ndarray) -> np.ndarray:
-        traces = sliding_trace_sq_dev(data, cfg.d1, cfg.d2)
-        return np.abs(statistic_value(traces, p, consts))
-
-    return rejection_threshold(cfg.alpha), values
+    traces = sliding_trace_sq_dev(data, cfg.d1, cfg.d2)
+    return rejection_threshold(cfg.alpha), np.abs(statistic_value(traces, p, consts))
 
 
-def _mp(p: int, cfg: DetectionConfig):
+def _mp(data: np.ndarray, cfg: DetectionConfig):
     """Largest eigenvalue of the whole window's covariance: one sample, no split."""
-    edge = mp_upper_edge(p / (cfg.d - 1))
+    edge = mp_upper_edge(data.shape[0] / (cfg.d - 1))
+    values = []
+    for w in slide_windows(data, cfg.d1, cfg.d2):
+        seg = normalize_rows(w.columns, f"window {w.start + 1}")
+        values.append(np.linalg.eigvalsh(sample_covariance(seg))[-1])
+    return edge, np.array(values)
 
-    def statistic(w: WindowSplit, ctx: str) -> float:
-        seg = normalize_rows(w.columns, ctx)
-        return float(np.linalg.eigvalsh(sample_covariance(seg))[-1])
 
-    return edge, _per_window(statistic, cfg)
-
-
-#: method -> (setup, comparison). ``setup(p, cfg)`` returns the interval's
-#: threshold and a function from the interval's columns to its per-window
-#: values; a window is flagged when ``comparison(value, threshold)`` holds.
+#: method -> (values_of, comparison). ``values_of(data, cfg)`` returns the
+#: interval's threshold and its per-window values; a window is flagged
+#: when ``comparison(value, threshold)`` holds.
 _RULES = {
     "dele": (_dele, np.greater),
     "deht": (_deht, np.greater_equal),
@@ -153,9 +139,8 @@ def scan(
     The threshold depends only on (p, cfg), so it is computed once per
     interval. Returns the trace and the first detection, if any.
     """
-    setup, comparison = _RULES[method]
-    threshold, values_of = setup(data.shape[0], cfg)
-    values = values_of(data)
+    values_of, comparison = _RULES[method]
+    threshold, values = values_of(data, cfg)
     flags = comparison(values, threshold)
     trace = DetectorTrace(method, interval, values, threshold, flags)
     k_s = run_rule(flags, cfg.s)

@@ -13,7 +13,7 @@ from .blas import single_threaded
 from .core import DetectionConfig, StateMatrix, validate_config
 from .errors import RecordTooShortError
 from .rmt import clt_constants, rejection_threshold, statistic_value
-from .spectral import fisher_trace_sq_dev, normalize_rows, sample_covariance
+from .spectral import WindowSplit, fisher_trace_sq_dev, window_covariances
 
 
 @dataclass(frozen=True)
@@ -69,26 +69,23 @@ def merge_intervals(raw) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in merged]
 
 
-def _boundary_test(X, segments, i: int, cfg: DetectionConfig, threshold: float) -> TestOutcome:
-    """Test H0: equal covariance across boundary i (1-based)."""
-    lo, mid, hi = segments[i - 1]
-    ctx = f"boundary {i} at sample {mid}"
-    # One shared normalization across both segments: per-segment row
-    # statistics would absorb any variance change at the boundary and
-    # leave the test blind to scale faults.
-    Xn = normalize_rows(X[:, lo:hi], ctx)
-    S1 = sample_covariance(Xn[:, : mid - lo])
-    S2 = sample_covariance(Xn[:, mid - lo :])
+def _boundary_test(
+    X, lo: int, mid: int, hi: int, ctx: str, cfg: DetectionConfig, threshold: float
+) -> TestOutcome:
+    """Test H0: equal covariance across the boundary at column ``mid``.
+
+    The columns [lo, hi) form one Fisher window with the earlier segment
+    as reference and the later one as probe: a variance increase after
+    the boundary then pushes Fisher eigenvalues above 1, where the
+    squared deviation grows without bound, instead of compressing them
+    into [0, 1) where it saturates.
+    """
+    window = WindowSplit(lo, mid - lo, hi - mid, X[:, lo:hi])
+    trace = fisher_trace_sq_dev(*window_covariances(window, ctx), ctx)
     p = X.shape[0]
-    n1, n2 = mid - lo, hi - mid
     consts = clt_constants(
-        p / (n2 - 1), p / (n1 - 1), cfg.kappa, cfg.beta1, cfg.beta2
+        p / (window.n2 - 1), p / (window.n1 - 1), cfg.kappa, cfg.beta1, cfg.beta2
     )
-    # Later segment in the numerator: a variance increase after the
-    # boundary then pushes Fisher eigenvalues above 1, where the squared
-    # deviation grows without bound, instead of compressing them into
-    # [0, 1) where it saturates.
-    trace = fisher_trace_sq_dev(S2, S1, ctx)
     L = statistic_value(trace, p, consts)
     return TestOutcome(L=L, threshold=threshold, reject=abs(L) >= threshold, position=mid)
 
@@ -99,20 +96,17 @@ def screen(X: StateMatrix, cfg: DetectionConfig) -> ScreenResult:
     cfg = validate_config(cfg, X.p)
     T, D = X.T, cfg.D
     boundaries = segment_boundaries(T, D)
-    N = len(boundaries)
     threshold = rejection_threshold(cfg.alpha)
     # (lo, mid, hi) 0-based half-open column ranges per boundary
-    segments = [
-        ((i - 1) * D, i * D, (i + 1) * D if i < N else T) for i in range(1, N + 1)
-    ]
+    ends = [*boundaries[1:], T]
+    segments = [(mid - D, mid, hi) for mid, hi in zip(boundaries, ends)]
     outcomes = [
-        _boundary_test(X.values, segments, i, cfg, threshold) for i in range(1, N + 1)
+        _boundary_test(
+            X.values, lo, mid, hi, f"boundary {i} at sample {mid}", cfg, threshold
+        )
+        for i, (lo, mid, hi) in enumerate(segments, start=1)
     ]
-    raw = [
-        ((i - 1) * D + 1, (i + 1) * D if i < N else T)
-        for i, o in zip(range(1, N + 1), outcomes)
-        if o.reject
-    ]
+    raw = [(lo + 1, hi) for (lo, _, hi), o in zip(segments, outcomes) if o.reject]
     return ScreenResult(
         boundaries=tuple(boundaries),
         outcomes=tuple(outcomes),

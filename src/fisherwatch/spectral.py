@@ -59,14 +59,6 @@ class WindowSplit:
         if self.columns.shape[1] != self.n1 + self.n2:
             raise ShapeError("window width does not match n1 + n2")
 
-    @property
-    def first(self) -> np.ndarray:
-        return self.columns[:, : self.n1]
-
-    @property
-    def second(self) -> np.ndarray:
-        return self.columns[:, self.n1 :]
-
 
 @dataclass(frozen=True)
 class FisherSpectrum:
@@ -140,6 +132,10 @@ def fisher_eigenvalues(
     (never by explicitly inverting S2; S2 can be ill-conditioned when d2
     barely exceeds p). Rank-deficient S1 is fine: the surplus eigenvalues
     are zero.
+
+    ``n1`` and ``n2`` count the samples behind S1 (numerator) and S2
+    (denominator); a :class:`WindowSplit` counts its reference as ``n1``,
+    so :func:`window_spectrum` passes ``(window.n2, window.n1)``.
     """
     p = S1.shape[0]
     if S1.shape != (p, p) or S2.shape != (p, p):
@@ -191,7 +187,6 @@ def window_spectrum(window: WindowSplit, context: str = "") -> FisherSpectrum:
     """Spectrum of F = S_probe S_ref^-1 for one window."""
     S_probe, S_ref = window_covariances(window, context)
     return fisher_eigenvalues(S_probe, S_ref, window.n2, window.n1, context)
-
 
 
 def sliding_trace_sq_dev(data: np.ndarray, d1: int, d2: int) -> np.ndarray:

@@ -1,12 +1,16 @@
 """The traced benchmark run (benchmark/traced.py) wraps program names by attribute.
 
 A rename under src/ would make its ``setattr`` patch a name nothing calls,
-or fail outright, so each name it patches must still exist.
+or fail outright, so each name it patches must still exist, and the
+kernels it times apart must still take the arguments it passes.
 """
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from fisherwatch import detect
+from fisherwatch.core import DetectionConfig, validate_config
 
 TRACED = Path(__file__).resolve().parents[1] / "benchmark" / "traced.py"
 
@@ -28,3 +32,15 @@ def test_traced_names_exist():
     assert missing == []
     assert set(detect._SCANS) == set(traced.METHODS)
     assert all(callable(f) for f in detect._SCANS.values())
+
+
+def test_traced_kernels_run():
+    traced = load_traced()
+    p, T = 5, 60
+    X = np.random.default_rng(0).standard_normal((p, T))
+    cfg = validate_config(DetectionConfig(), p)
+    times = traced.kernel_microseconds(X, list(range(T - cfg.d + 1)), cfg, seed=0)
+    kernels = ("normalize_rows", "sample_covariance", "fisher_trace_sq_dev",
+               "fisher_eigenvalues", "window_spectrum")
+    assert set(times) == {f"spectral.{k}_us" for k in kernels}
+    assert all(t > 0 for t in times.values())

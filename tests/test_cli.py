@@ -223,6 +223,18 @@ class TestExitCodes:
                 assert err.startswith("config-error:"), (command, doc, err)
                 assert err.rstrip().count("\n") == 0, (command, doc, err)
 
+    def test_bad_sample_sizes(self, tmp_path, data_file, capsys):
+        # each used to end in a traceback or an unclear input-error
+        bad = [["validate-null", "--n1", "1"], ["validate-null", "--n2", "1"],
+               ["validate-null", "--esd-p", "0"],
+               ["bench", str(data_file), "--repeats", "0"]]
+        for argv in bad:
+            code = main([*argv, "--out-dir", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2, (argv, err)
+            assert err.startswith("config-error:"), (argv, err)
+            assert err.rstrip().count("\n") == 0, (argv, err)
+
 
 def test_cli_import_leaves_out_scipy_stats_and_integrate():
     """screen and detect never use them; validate-null and lsd_cdf load them on call."""

@@ -139,6 +139,12 @@ class TestScans:
             assert tau < det.fault_time <= tau + cfg.d + cfg.s + 100
 
     @pytest.mark.parametrize("method", METHODS)
+    def test_interval_narrower_than_one_window(self, cfg, method):
+        data = np.random.default_rng(7).standard_normal((20, cfg.d - 1))
+        with pytest.raises(RecordTooShortError):
+            scan(data, cfg, (1, cfg.d - 1), method)
+
+    @pytest.mark.parametrize("method", METHODS)
     def test_values_match_plain_numpy(self, cfg, method):
         # every value the scan reports, recomputed without fisherwatch's
         # kernels: sampled windows plus the s windows up to each trigger

@@ -102,6 +102,39 @@ class TestScreen:
             assert lo == (i - 1) * D + 1
             assert hi == (i + 1) * D if i < N else X.T
 
+    def test_statistic_matches_plain_numpy(self, cfg):
+        # every boundary's L recomputed without fisherwatch's kernels; T is
+        # not a multiple of D, so the final segment is longer than D
+        p, T, D = 20, 1230, cfg.D
+        sc = Scenario(
+            p=p, T=T, seed=2,
+            events=(CovarianceEvent(tau=600, kind="scale-subset",
+                                    channels=tuple(range(1, 9)), factor=2.0),),
+        )
+        X, _ = generate(sc)
+        res = screen(X, cfg)
+        ends = [*res.boundaries[1:], T]
+        assert ends[-1] - res.boundaries[-1] > D
+        for o, mid, hi in zip(res.outcomes, res.boundaries, ends):
+            lo = mid - D
+            cols = X.values[:, lo:hi]  # joint normalization of both segments
+            Z = (cols - cols.mean(axis=1, keepdims=True)) / cols.std(
+                axis=1, ddof=1, keepdims=True
+            )
+            # later segment in the numerator: F = S_later S_earlier^-1
+            A = np.linalg.solve(np.cov(Z[:, : mid - lo]), np.cov(Z[:, mid - lo :]))
+            M = A - np.eye(p)
+            trace = np.sum(M * M.T)
+            # CLT constants of g(x) = (x - 1)^2 for real Gaussian data
+            # (kappa = 2, beta1 = beta2 = 0)
+            y1, y2 = p / (hi - mid - 1), p / (mid - lo - 1)
+            h2 = y1 + y2 - y1 * y2
+            Fg = (h2 + y2**2 - y2**3) / (1 - y2) ** 3
+            mu = (2 * h2 * y2 + h2 - 2 * y2**3 + 3 * y2**2) / (1 - y2) ** 4
+            nu = 2 * (2 * h2**2 + 4 * h2 * (h2 - y2**2 + 2 * y2) ** 2) / (1 - y2) ** 8
+            L = (trace - p * Fg - mu) / np.sqrt(nu)
+            assert o.L == pytest.approx(L, rel=1e-8), mid
+
     def test_captures_strong_covariance_change(self, cfg):
         tau = 600
         hits = 0

@@ -79,8 +79,10 @@ class TestWindowSplit:
     def test_blocks(self):
         cols = np.random.default_rng(5).standard_normal((3, 10))
         w = WindowSplit(start=2, n1=6, n2=4, columns=cols)
-        assert np.array_equal(w.first, cols[:, :6])
-        assert np.array_equal(w.second, cols[:, 6:])
+        S_probe, S_ref = window_covariances(w)
+        Xn = normalize_rows(cols)  # shared by both blocks
+        assert np.allclose(S_ref, np.cov(Xn[:, :6]), rtol=1e-12)
+        assert np.allclose(S_probe, np.cov(Xn[:, 6:]), rtol=1e-12)
 
     def test_reference_block_must_exceed_p(self):
         cols = np.zeros((5, 8))
