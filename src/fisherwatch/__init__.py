@@ -28,6 +28,9 @@ from .spectral import (
     fisher_trace_sq_dev,
     normalize_rows,
     sample_covariance,
+    sliding_correlation_largest,
+    sliding_fisher_largest,
+    sliding_trace_sq_dev,
 )
 
 __version__ = "0.1.0"
@@ -65,4 +68,7 @@ __all__ = [
     "fisher_trace_sq_dev",
     "normalize_rows",
     "sample_covariance",
+    "sliding_correlation_largest",
+    "sliding_fisher_largest",
+    "sliding_trace_sq_dev",
 ]

@@ -98,9 +98,10 @@ def cmd_validate_null(args) -> int:
             raise ConfigError(f"{flag} must be at least {least}, got {value}")
     cfg = validate_config(_load_config(args), args.p)
     calib = null_calibration(
-        args.p, args.n1, args.n2, args.reps, alpha=cfg.alpha, seed=args.seed
+        args.p, args.n1, args.n2, args.reps, alpha=cfg.alpha, seed=args.seed,
+        knob="--n2",
     )
-    ks_esd = esd_vs_lsd_ks(args.esd_p, args.esd_n, seed=args.seed)
+    ks_esd = esd_vs_lsd_ks(args.esd_p, args.esd_n, seed=args.seed, knob="--esd-n")
     out = _out_dir(args)
     calib_path = out / "calibration.json"
     io.write_json(

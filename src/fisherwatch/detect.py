@@ -1,16 +1,25 @@
 """Point-by-point localization inside screened intervals.
 
 One sliding-window scan serves three detectors, each a per-window
-statistic compared with a closed-form threshold:
+statistic compared with a closed-form threshold. Each reads an
+O(p^2)-per-step sliding engine in :mod:`~fisherwatch.spectral` instead
+of building every window, except dele below
+:data:`~fisherwatch.spectral.LANCZOS_MIN_P` channels, where the direct
+window path is faster.
 
 * ``dele`` flags windows whose largest Fisher eigenvalue exceeds the
-  upper support edge b of the limiting law (strict >);
+  upper support edge b of the limiting law (strict >); the eigenvalue
+  comes from warm-started Lanczos on the Fisher engine's state
+  (:func:`~fisherwatch.spectral.sliding_fisher_largest`), and a window
+  whose flag the Lanczos residual cannot certify is computed directly;
 * ``deht`` flags windows whose standardized statistic |L_k| reaches the
   Gaussian quantile threshold (closed >=, matching the rejection region);
-  its traces come from the O(p^2)-per-step sliding engine
-  :func:`~fisherwatch.spectral.sliding_trace_sq_dev`;
+  its traces come from the same engine
+  (:func:`~fisherwatch.spectral.sliding_trace_sq_dev`);
 * ``mp`` is the Marchenko-Pastur baseline on the plain sample covariance
-  (strict >).
+  (strict >): the top eigenvalue of each window's correlation matrix,
+  from a rank-1-updated window scatter
+  (:func:`~fisherwatch.spectral.sliding_correlation_largest`).
 
 A fault is declared only after s consecutive flagged windows; the
 declared time is the last column of the window completing the run.
@@ -42,10 +51,9 @@ from .rmt import (
 from .screening import screen
 from .spectral import (
     WindowSplit,
-    normalize_rows,
-    sample_covariance,
+    sliding_correlation_largest,
+    sliding_fisher_largest,
     sliding_trace_sq_dev,
-    window_spectrum,
 )
 
 METHODS = ("dele", "deht", "mp")
@@ -94,10 +102,7 @@ def _dele(data: np.ndarray, cfg: DetectionConfig):
     """Largest Fisher eigenvalue against the support edge b."""
     p = data.shape[0]
     b = support_edges(p / (cfg.d1 - 1), p / (cfg.d2 - 1)).b
-    return b, np.array([
-        window_spectrum(w, f"window {w.start + 1}").largest
-        for w in slide_windows(data, cfg.d1, cfg.d2)
-    ])
+    return b, sliding_fisher_largest(data, cfg.d1, cfg.d2, b)
 
 
 def _deht(data: np.ndarray, cfg: DetectionConfig):
@@ -111,13 +116,9 @@ def _deht(data: np.ndarray, cfg: DetectionConfig):
 
 
 def _mp(data: np.ndarray, cfg: DetectionConfig):
-    """Largest eigenvalue of the whole window's covariance: one sample, no split."""
+    """Largest eigenvalue of the whole window's correlation matrix: no split."""
     edge = mp_upper_edge(data.shape[0] / (cfg.d - 1))
-    values = []
-    for w in slide_windows(data, cfg.d1, cfg.d2):
-        seg = normalize_rows(w.columns, f"window {w.start + 1}")
-        values.append(np.linalg.eigvalsh(sample_covariance(seg))[-1])
-    return edge, np.array(values)
+    return edge, sliding_correlation_largest(data, cfg.d)
 
 
 #: method -> (values_of, comparison). ``values_of(data, cfg)`` returns the

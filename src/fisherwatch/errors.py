@@ -39,9 +39,11 @@ class DegenerateChannelError(DataError):
 
 
 class SingularCovarianceError(FisherwatchError):
-    """The second sample covariance is not positive definite.
+    """The second (denominator) sample covariance is not positive definite.
 
-    Usually means the second sub-sample is too small; increase d2.
+    Usually means its block is too small. The message names the setting
+    to increase: d2 for a scan window, D for a screen boundary, or the
+    denominator sample size of a ``validate-null`` draw.
     """
 
     code = "singular-covariance"

@@ -81,7 +81,7 @@ def _boundary_test(
     into [0, 1) where it saturates.
     """
     window = WindowSplit(lo, mid - lo, hi - mid, X[:, lo:hi])
-    trace = fisher_trace_sq_dev(*window_covariances(window, ctx), ctx)
+    trace = fisher_trace_sq_dev(*window_covariances(window, ctx), ctx, knob="D")
     p = X.shape[0]
     consts = clt_constants(
         p / (window.n2 - 1), p / (window.n1 - 1), cfg.kappa, cfg.beta1, cfg.beta2

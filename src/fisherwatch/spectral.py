@@ -1,16 +1,31 @@
 """Per-window linear algebra: normalization, covariances, Fisher spectra.
 
-The per-window kernels are pure functions of one window. The sliding
-engine :func:`sliding_trace_sq_dev` carries state from each window to
-the next, so one interval's windows run in order.
+The per-window kernels are pure functions of one window: the direct
+path. The sliding engines carry state from each window to the next, in
+O(p^2) per step, so one interval's windows run in order:
+
+* the Fisher engine (``_fisher_states``) keeps R^-1 and M = R^-1 P of
+  the reference and probe scatters. :func:`sliding_trace_sq_dev` reads
+  tr{(F - I)^2} from M; :func:`sliding_fisher_largest` reads the top
+  Fisher eigenvalue by warm-started Lanczos in the R inner product, and
+  computes a window directly where the Lanczos residual cannot certify
+  its flag;
+* the window-scatter engine :func:`sliding_correlation_largest` keeps
+  the whole window's scatter by rank-1 updates and takes the exact top
+  eigenvalue of its correlation matrix.
+
+Each engine recomputes a window directly every REFRESH steps, where a
+channel is constant across it and where a guard does not trust the
+updates, so it raises the direct path's errors at the same windows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from .errors import (
     DegenerateChannelError,
@@ -31,6 +46,29 @@ REFRESH = 64
 DENOMINATOR_FLOOR = 1e-3
 PIVOT_MARGIN = 1e3
 RESIDUAL_TOL = 3e-12
+#: the window-scatter engine refreshes where a diagonal entry of its
+#: scatter has fallen below SCATTER_DROP of its peak since the last
+#: refresh, before cancellation eats the digits of the rank-1 updates
+SCATTER_DROP = 1e-3
+#: Lanczos for the top Fisher eigenvalue: a Ritz value has converged when
+#: its residual bound is at most LANCZOS_TOL times itself, checked every
+#: LANCZOS_CHECK steps; a window not converged after LANCZOS_STEPS steps
+#: is computed directly
+LANCZOS_TOL = 1e-10
+LANCZOS_CHECK = 3
+LANCZOS_STEPS = 48
+#: below this many channels the direct window path is faster than the
+#: engine plus Lanczos (measured crossover at the default window shape)
+LANCZOS_MIN_P = 48
+#: a top eigenvalue from Lanczos certifies its flag only when farther from
+#: the edge than its residual bound and than FLAG_MARGIN times itself, which
+#: covers the rounding of M and of the R inner product
+FLAG_MARGIN = 1e-8
+#: a Lanczos vector whose R-norm is at most BREAKDOWN times that of its
+#: projection onto the Krylov space ends the iteration
+BREAKDOWN = 1e-12
+#: relative size of the fixed random kick added to each warm start
+WARM_KICK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -85,7 +123,8 @@ def normalize_rows(segment: np.ndarray, context: str = "") -> np.ndarray:
         raise ShapeError("segment must be p x n with n >= 2")
     mu = segment.mean(axis=1, keepdims=True)
     sd = segment.std(axis=1, ddof=1, keepdims=True)
-    dead = np.flatnonzero(sd[:, 0] == 0.0)
+    # a constant row whose mean rounds has a tiny nonzero sd
+    dead = np.flatnonzero((sd[:, 0] == 0.0) | (segment == segment[:, :1]).all(axis=1))
     if dead.size:
         raise DegenerateChannelError(int(dead[0]) + 1, context)
     return (segment - mu) / sd
@@ -106,25 +145,30 @@ def sample_covariance(segment: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _cholesky_spd(S2: np.ndarray, context: str = "") -> np.ndarray:
-    """Lower Cholesky factor of S2, with a relative pivot floor."""
+def _cholesky_spd(S2: np.ndarray, context: str = "", knob: str = "d2") -> np.ndarray:
+    """Lower Cholesky factor of S2, with a relative pivot floor.
+
+    An error names ``knob``, the setting that sizes the block behind S2:
+    d2 for a scan window, D for a screen boundary.
+    """
     where = f" ({context})" if context else ""
     try:
         L = linalg.cholesky(S2, lower=True, check_finite=False)
     except linalg.LinAlgError as exc:
         raise SingularCovarianceError(
-            f"second covariance not positive definite{where}; increase d2"
+            f"second covariance not positive definite{where}; increase {knob}"
         ) from exc
     piv_floor = PIVOT_RTOL * float(np.max(np.diag(S2)))
     if float(np.min(np.diag(L)) ** 2) < piv_floor:
         raise SingularCovarianceError(
-            f"second covariance numerically singular{where}; increase d2"
+            f"second covariance numerically singular{where}; increase {knob}"
         )
     return L
 
 
 def fisher_eigenvalues(
-    S1: np.ndarray, S2: np.ndarray, n1: int, n2: int, context: str = ""
+    S1: np.ndarray, S2: np.ndarray, n1: int, n2: int, context: str = "",
+    knob: str = "d2",
 ) -> FisherSpectrum:
     """Spectrum of the Fisher matrix F = S1 S2^-1 for one window.
 
@@ -135,12 +179,13 @@ def fisher_eigenvalues(
 
     ``n1`` and ``n2`` count the samples behind S1 (numerator) and S2
     (denominator); a :class:`WindowSplit` counts its reference as ``n1``,
-    so :func:`window_spectrum` passes ``(window.n2, window.n1)``.
+    so :func:`window_spectrum` passes ``(window.n2, window.n1)``. A
+    singular S2 raises an error that names ``knob`` (see ``_cholesky_spd``).
     """
     p = S1.shape[0]
     if S1.shape != (p, p) or S2.shape != (p, p):
         raise ShapeError("covariances must be square and equally sized")
-    _cholesky_spd(S2, context)
+    _cholesky_spd(S2, context, knob)
     lam = linalg.eigh(S1, S2, eigvals_only=True, check_finite=False)
     lam = np.where(np.abs(lam) < 1e-12, 0.0, lam)[::-1].copy()
     return FisherSpectrum(
@@ -151,15 +196,18 @@ def fisher_eigenvalues(
     )
 
 
-def fisher_trace_sq_dev(S1: np.ndarray, S2: np.ndarray, context: str = "") -> float:
+def fisher_trace_sq_dev(
+    S1: np.ndarray, S2: np.ndarray, context: str = "", knob: str = "d2"
+) -> float:
     """tr{(S1 S2^-1 - I)^2} without an eigendecomposition.
 
     A pair of triangular solves against the Cholesky factor of S2 is
     cheaper than the full spectrum; this is the fast path of the
-    statistic-based detector.
+    statistic-based detector. A singular S2 raises an error that names
+    ``knob`` (see ``_cholesky_spd``).
     """
     p = S1.shape[0]
-    L = _cholesky_spd(S2, context)
+    L = _cholesky_spd(S2, context, knob)
     # F^T = S2^-1 S1 via two triangular solves
     Ft = linalg.solve_triangular(L, S1, lower=True, check_finite=False)
     Ft = linalg.solve_triangular(L.T, Ft, lower=False, check_finite=False)
@@ -189,39 +237,28 @@ def window_spectrum(window: WindowSplit, context: str = "") -> FisherSpectrum:
     return fisher_eigenvalues(S_probe, S_ref, window.n2, window.n1, context)
 
 
-def sliding_trace_sq_dev(data: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """tr{(F - I)^2} of every step-1 window of an interval, in O(p^2) per step.
-
-    Window k (0-based) covers columns [k, k + d2 + d1): a leading
-    reference block of width d2 and a trailing probe block of width d1.
-    Each value equals ``fisher_trace_sq_dev(*window_covariances(w))`` to
-    about 1e-11 relative, and a window raises the error that path
-    raises, with the context ``window k+1``.
-
-    The Fisher spectrum is invariant to a per-row rescaling shared by
-    both blocks, and each block subtracts its own mean, so the interval
-    is scaled once per row instead of normalizing each window. A step
-    moves one column into and one out of each block, each a rank-1
-    (Welford) change of its scatter. B = S_ref^-1 follows by
-    Sherman-Morrison and M = B S_probe by rank-1 terms, in place; with
-    r = (d2-1)/(d1-1), tr F = r tr M and tr F^2 = r^2 sum(M * M^T).
-
-    A window is computed directly (``window_covariances``,
-    ``_cholesky_spd``) every REFRESH steps, where a channel is constant
-    across it, and where a guard does not trust the updates: a
-    denominator below DENOMINATOR_FLOOR; 1/max_i (S_ref^-1)_ii, a lower
-    bound on the smallest squared pivot, within PIVOT_MARGIN of the
-    pivot floor; or a relative residual |S_ref M x - S_probe x| above
-    RESIDUAL_TOL on two fixed random vectors x.
-    """
-    data = np.asarray(data, dtype=float)
-    p, W = data.shape
-    d = d1 + d2
-    K = W - d + 1
-    if K < 1:
+def _window_count(W: int, d: int) -> int:
+    """Step-1 windows of width d in an interval of width W."""
+    if W < d:
         raise RecordTooShortError(
             f"interval of width {W} cannot hold one window of width {d}"
         )
+    return W - d + 1
+
+
+def _scaled_interval(data, d: int):
+    """(data, Z, sd, stuck): the prologue of the sliding engines.
+
+    Z is the interval scaled once per row by its standard deviation sd.
+    The Fisher spectrum and the correlation matrix of a window are
+    invariant to a per-row rescaling shared by all its columns, and each
+    block subtracts its own mean, so the engines work in Z instead of
+    normalizing each window. stuck[k] marks window k (width d) in which
+    some row is constant, where the direct path raises.
+    """
+    data = np.asarray(data, dtype=float)
+    p, W = data.shape
+    K = _window_count(W, d)
     # repeats[i, t]: how many of row i's columns 1..t equal the column before
     repeats = np.zeros((p, W), dtype=np.int64)
     np.cumsum(data[:, 1:] == data[:, :-1], axis=1, out=repeats[:, 1:])
@@ -230,12 +267,40 @@ def sliding_trace_sq_dev(data: np.ndarray, d1: int, d2: int) -> np.ndarray:
     sd = data.std(axis=1, ddof=1)
     sd[sd == 0.0] = 1.0  # a constant row makes every window stuck
     Z = (data - data.mean(axis=1, keepdims=True)) / sd[:, None]
+    return data, Z, sd, stuck
+
+
+def _fisher_states(data, d1: int, d2: int):
+    """Yield (M, ref) for every step-1 window of an interval, in O(p^2) per step.
+
+    Window k (0-based) covers columns [k, k + d2 + d1): a leading
+    reference block of width d2 and a trailing probe block of width d1.
+    In the scaled units Z of :func:`_scaled_interval`, ``ref`` is the
+    window's centred reference block, R = ref ref^T its scatter, P the
+    probe's scatter and M = R^-1 P; with r = (d2-1)/(d1-1), the Fisher
+    matrix F = S_probe S_ref^-1 has the eigenvalues of r M. M is updated
+    in place, so read it before advancing. A window raises the error the
+    direct path raises, with the context ``window k+1``.
+
+    A step moves one column into and one out of each block, each a rank-1
+    (Welford) change of its scatter. B = R^-1 follows by Sherman-Morrison
+    and M by rank-1 terms, in place. A window is computed directly
+    (``window_covariances``, ``_cholesky_spd``) every REFRESH steps, where
+    a channel is constant across it, and where a guard does not trust the
+    updates: a denominator below DENOMINATOR_FLOOR; 1/max_i (S_ref^-1)_ii,
+    a lower bound on the smallest squared pivot, within PIVOT_MARGIN of
+    the pivot floor; or a relative residual |R M x - P x| above
+    RESIDUAL_TOL on two fixed random vectors x.
+    """
+    d = d1 + d2
+    data, Z, sd, stuck = _scaled_interval(data, d)
+    p = data.shape[0]
     r = (d2 - 1) / (d1 - 1)
     probes = np.random.default_rng(0).standard_normal((p, 2))
     ger = blas.dger
 
     def refresh(k: int):
-        """B, M and the two block means of window k, computed directly."""
+        """B, M, the two block means and ref of window k, computed directly."""
         cols = data[:, k : k + d]
         ctx = f"window {k + 1}"
         S_probe, S_ref = window_covariances(WindowSplit(k, d2, d1, cols), ctx)
@@ -245,10 +310,12 @@ def sliding_trace_sq_dev(data: np.ndarray, d1: int, d2: int) -> np.ndarray:
         D = sd / cols.std(axis=1, ddof=1)
         B = np.asfortranarray(S_inv * np.outer(D, D) / (d2 - 1))
         M = np.asfortranarray((S_inv @ S_probe) * np.outer(D, 1.0 / D) / r)
-        return B, M, [Z[:, k : k + d2].mean(axis=1), Z[:, k + d2 : k + d].mean(axis=1)]
+        means = [Z[:, k : k + d2].mean(axis=1), Z[:, k + d2 : k + d].mean(axis=1)]
+        return B, M, means, Z[:, k : k + d2] - means[0][:, None]
 
-    def step(k: int, B, M, means) -> bool:
-        """Slide from window k-1 to k in place; False where a guard trips."""
+    def step(k: int, B, M, means):
+        """Slide from window k-1 to k in place; return ref, or None where a
+        guard trips."""
         # (block, column, added): the probe (1) gains column k-1+d and
         # hands column k-1+d2 to the reference (0), which drops column k-1
         for block, col, added in (
@@ -264,12 +331,12 @@ def sliding_trace_sq_dev(data: np.ndarray, d1: int, d2: int) -> np.ndarray:
                 means[block] -= v / (n - 1)
                 c = -n / (n - 1)
             w = B @ v
-            if block:  # S_probe += c v v^T
+            if block:  # P += c v v^T
                 ger(c, w, v, a=M, overwrite_a=True)
                 continue
-            den = 1.0 + c * (v @ w)  # S_ref += c v v^T
+            den = 1.0 + c * (v @ w)  # R += c v v^T
             if not den >= DENOMINATOR_FLOOR:
-                return False
+                return None
             z = M.T @ v
             ger(-c / den, w, w, a=B, overwrite_a=True)
             ger(-c / den, w, z, a=M, overwrite_a=True)
@@ -282,20 +349,183 @@ def sliding_trace_sq_dev(data: np.ndarray, d1: int, d2: int) -> np.ndarray:
         ss += (d1 * d2 / d) * (means[0] - means[1]) ** 2
         bound = np.max(ss_ref / ss) * np.max(B.diagonal() * ss)
         if not bound * PIVOT_RTOL * PIVOT_MARGIN < 1.0:
-            return False
+            return None
         SY = ref @ (ref.T @ (M @ probes))
         SX = probe @ (probe.T @ probes)
         res = np.linalg.norm(SY - SX) / (np.linalg.norm(SY) + np.linalg.norm(SX))
-        return bool(res <= RESIDUAL_TOL)
+        return ref if res <= RESIDUAL_TOL else None
 
-    values = np.empty(K)
-    B, M, means = refresh(0)
+    B, M, means, ref = refresh(0)
     since = 0
-    for k in range(K):
+    for k in range(len(stuck)):
         if k:
             since += 1
-            if stuck[k] or since >= REFRESH or not step(k, B, M, means):
-                B, M, means = refresh(k)
+            ref = None if stuck[k] or since >= REFRESH else step(k, B, M, means)
+            if ref is None:
+                B, M, means, ref = refresh(k)
                 since = 0
-        values[k] = r * r * np.einsum("ij,ji->", M, M) - 2.0 * r * np.trace(M) + p
+        yield M, ref
+
+
+def sliding_trace_sq_dev(data: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """tr{(F - I)^2} of every step-1 window of an interval, in O(p^2) per step.
+
+    Window k (0-based) covers columns [k, k + d2 + d1), as in
+    :func:`_fisher_states`. Each value equals
+    ``fisher_trace_sq_dev(*window_covariances(w))`` to about 1e-11
+    relative, and a window raises the error that path raises, with the
+    context ``window k+1``. With r = (d2-1)/(d1-1), tr F = r tr M and
+    tr F^2 = r^2 sum(M * M^T).
+    """
+    p = np.shape(data)[0]
+    r = (d2 - 1) / (d1 - 1)
+    return np.array([
+        r * r * np.einsum("ij,ji->", M, M) - 2.0 * r * np.trace(M) + p
+        for M, _ in _fisher_states(data, d1, d2)
+    ])
+
+
+def _lanczos_top(M: np.ndarray, ref: np.ndarray, v: np.ndarray, Q, RQ, a, b):
+    """Largest Ritz pair of M in the inner product of R = ref ref^T.
+
+    M (Fortran order) must be self-adjoint in that inner product. Lanczos
+    with full reorthogonalization (classical Gram-Schmidt, twice) starts
+    from v. Q and RQ (p x m+1, Fortran order) receive the R-orthonormal
+    Krylov basis and its R-products, a and b (length m) the tridiagonal.
+    Returns (theta, rho, y): the largest Ritz value, the R-norm of its
+    residual M y - theta y, and its R-unit Ritz vector; theta is None
+    when m steps did not converge. theta is at most the largest
+    eigenvalue of M, and some eigenvalue of M lies within rho of it.
+    """
+    gemv, dot = blas.dgemv, blas.ddot
+    refT = ref.T  # Fortran order, so BLAS takes it without a copy
+    Rv = gemv(1.0, refT, gemv(1.0, refT, v), trans=1)
+    norm = math.sqrt(dot(v, Rv))
+    np.divide(v, norm, out=Q[:, 0])
+    np.divide(Rv, norm, out=RQ[:, 0])
+    m = len(a)
+    for j in range(m):
+        q, Rq = Q[:, : j + 1], RQ[:, : j + 1]
+        w = gemv(1.0, M, Q[:, j])
+        h = gemv(1.0, Rq, w, trans=1)
+        gemv(-1.0, q, h, beta=1.0, y=w, overwrite_y=True)
+        h2 = gemv(1.0, Rq, w, trans=1)
+        gemv(-1.0, q, h2, beta=1.0, y=w, overwrite_y=True)
+        a[j] = h[j] + h2[j]
+        Rw = gemv(1.0, refT, gemv(1.0, refT, w), trans=1)
+        beta = math.sqrt(max(dot(w, Rw), 0.0))
+        # breakdown: M q_j lies in the Krylov space up to rounding, so
+        # that space is invariant and its Ritz values are exact
+        done = beta <= BREAKDOWN * math.sqrt(dot(h, h))
+        if done or j + 1 == m or (j + 1) % LANCZOS_CHECK == 0:
+            thetas, S, _ = lapack.dstev(a[: j + 1], b[:j], compute_v=True)
+            theta, s = thetas[-1], S[:, -1]
+            rho = beta * abs(s[-1])
+            if done or rho <= LANCZOS_TOL * theta:
+                return theta, rho, q @ s
+        if j + 1 < m:
+            b[j] = beta
+            np.divide(w, beta, out=Q[:, j + 1])
+            np.divide(Rw, beta, out=RQ[:, j + 1])
+    return None, math.inf, q @ s
+
+
+def sliding_fisher_largest(
+    data: np.ndarray, d1: int, d2: int, edge: float
+) -> np.ndarray:
+    """Largest eigenvalue of F of every step-1 window, flagged against ``edge``.
+
+    Windows as in :func:`_fisher_states`, whose M is self-adjoint in the
+    inner product of R because R M = P is symmetric; so lambda_max(F) =
+    r theta, with theta from :func:`_lanczos_top`. Each window starts from
+    the last Ritz vector plus a WARM_KICK relative kick along a fixed
+    random vector, which lets a new top direction enter the Krylov space.
+
+    The flag ``value > edge`` is certified when |r theta - edge| exceeds
+    r max(rho, FLAG_MARGIN theta), the residual bound widened to cover
+    the rounding of M and of the R inner product. A window that is not
+    certified, or whose Lanczos run did not converge, is computed
+    directly by :func:`window_spectrum`, and that value is reported. So
+    every flag equals the direct path's, and values agree with it to
+    about 1e-9. Below LANCZOS_MIN_P channels every window is computed
+    directly.
+    """
+    d = d1 + d2
+    data = np.asarray(data, dtype=float)
+    p, W = data.shape
+
+    def direct(k: int) -> float:
+        window = WindowSplit(k, d2, d1, data[:, k : k + d])
+        return window_spectrum(window, f"window {k + 1}").largest
+
+    if p < LANCZOS_MIN_P:
+        return np.array([direct(k) for k in range(_window_count(W, d))])
+    r = (d2 - 1) / (d1 - 1)
+    m = min(p, LANCZOS_STEPS)
+    Q, RQ = np.empty((p, m + 1), order="F"), np.empty((p, m + 1), order="F")
+    a, b = np.empty(m), np.empty(m)
+    kick = np.random.default_rng(1).standard_normal(p)
+    kick /= np.linalg.norm(kick)
+    y = kick
+    values = []
+    for k, (M, ref) in enumerate(_fisher_states(data, d1, d2)):
+        v = y + WARM_KICK * np.linalg.norm(y) * kick
+        theta, rho, y = _lanczos_top(M, ref, v, Q, RQ, a, b)
+        margin = None if theta is None else r * max(rho, FLAG_MARGIN * theta)
+        if margin is not None and abs(r * theta - edge) > margin:
+            values.append(r * theta)
+        else:
+            values.append(direct(k))
+    return np.array(values)
+
+
+def sliding_correlation_largest(data: np.ndarray, d: int) -> np.ndarray:
+    """Largest eigenvalue of every step-1 window's correlation matrix.
+
+    Window k covers columns [k, k + d). The correlation matrix is the
+    covariance of the window's normalized rows, as in
+    ``sample_covariance(normalize_rows(w))``, and the scatter rescaled by
+    its diagonal. The scatter and mean of the scaled interval Z (see
+    :func:`_scaled_interval`) follow by two rank-1 (Welford) updates per
+    step, and ``eigvalsh`` gives the exact top eigenvalue. The scatter is
+    recomputed every REFRESH steps, where a channel is constant across
+    the window (there ``normalize_rows`` raises the direct path's error),
+    and where a diagonal entry has fallen below SCATTER_DROP of its peak
+    since the last refresh.
+    """
+    data, Z, _, stuck = _scaled_interval(data, d)
+    ger = blas.dger
+
+    def refresh(k: int):
+        """Scatter, mean and peak diagonal of window k, computed directly."""
+        normalize_rows(data[:, k : k + d], f"window {k + 1}")
+        mean = Z[:, k : k + d].mean(axis=1)
+        centred = Z[:, k : k + d] - mean[:, None]
+        C = np.asfortranarray(centred @ centred.T)
+        return C, mean, C.diagonal().copy()
+
+    def step(k: int, C, mean, peak) -> bool:
+        """Slide from window k-1 to k in place; False where a diagonal
+        entry fell below SCATTER_DROP of its peak since the refresh."""
+        # column k-1+d joins the d columns, then column k-1 leaves
+        v = Z[:, k - 1 + d] - mean
+        mean += v / (d + 1)
+        ger(d / (d + 1), v, v, a=C, overwrite_a=True)
+        v = Z[:, k - 1] - mean
+        mean -= v / d
+        ger(-(d + 1) / d, v, v, a=C, overwrite_a=True)
+        np.maximum(peak, C.diagonal(), out=peak)
+        return bool((C.diagonal() >= SCATTER_DROP * peak).all())
+
+    values = np.empty(len(stuck))
+    C, mean, peak = refresh(0)
+    since = 0
+    for k in range(len(stuck)):
+        if k:
+            since += 1
+            if stuck[k] or since >= REFRESH or not step(k, C, mean, peak):
+                C, mean, peak = refresh(k)
+                since = 0
+        s = 1.0 / np.sqrt(C.diagonal())
+        values[k] = np.linalg.eigvalsh(C * np.outer(s, s))[-1]
     return values

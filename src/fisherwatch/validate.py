@@ -20,21 +20,25 @@ def _draw_covariances(rng, p, n1, n2):
 
 
 @single_threaded()
-def null_statistic_sample(p, n1, n2, reps, seed=0) -> np.ndarray:
-    """reps draws of the statistic L under equal covariances."""
+def null_statistic_sample(p, n1, n2, reps, seed=0, knob="n2") -> np.ndarray:
+    """reps draws of the statistic L under equal covariances.
+
+    A singular denominator raises an error that names ``knob``, the
+    setting behind n2.
+    """
     rng = np.random.default_rng(seed)
     consts = clt_constants(p / (n1 - 1), p / (n2 - 1))
     out = np.empty(reps)
     for r in range(reps):
         S1, S2 = _draw_covariances(rng, p, n1, n2)
-        out[r] = statistic_value(fisher_trace_sq_dev(S1, S2), p, consts)
+        out[r] = statistic_value(fisher_trace_sq_dev(S1, S2, knob=knob), p, consts)
     return out
 
 
-def null_calibration(p, n1, n2, reps, alpha=0.01, seed=0) -> dict:
+def null_calibration(p, n1, n2, reps, alpha=0.01, seed=0, knob="n2") -> dict:
     """Empirical mean/sd/size of L plus a KS distance against N(0, 1)."""
     from scipy import stats  # here, its one user, to keep it off the CLI's import
-    Ls = null_statistic_sample(p, n1, n2, reps, seed)
+    Ls = null_statistic_sample(p, n1, n2, reps, seed, knob)
     threshold = rejection_threshold(alpha)
     ks = stats.kstest(Ls, "norm").statistic
     return {
@@ -45,12 +49,16 @@ def null_calibration(p, n1, n2, reps, alpha=0.01, seed=0) -> dict:
     }
 
 
-def esd_vs_lsd_ks(p, n1, n2=None, seed=0) -> float:
-    """KS distance between one standard Fisher ESD and the limiting CDF."""
+def esd_vs_lsd_ks(p, n1, n2=None, seed=0, knob="n2") -> float:
+    """KS distance between one standard Fisher ESD and the limiting CDF.
+
+    A singular denominator raises an error that names ``knob``, the
+    setting behind n2 (n1 when n2 is not given).
+    """
     n2 = n2 if n2 is not None else n1
     rng = np.random.default_rng(seed)
     S1, S2 = _draw_covariances(rng, p, n1, n2)
-    spec = fisher_eigenvalues(S1, S2, n1, n2)
+    spec = fisher_eigenvalues(S1, S2, n1, n2, knob=knob)
     params = support_edges(spec.y_tau, spec.y_T)
     lam = np.sort(spec.eigenvalues)
     F = np.array([lsd_cdf(x, params) for x in lam])
@@ -66,7 +74,7 @@ def edge_exceedance(p, n1, n2, reps, seed=0, slack=1.05) -> dict:
     above = above_slack = 0
     for _ in range(reps):
         S1, S2 = _draw_covariances(rng, p, n1, n2)
-        l1 = fisher_eigenvalues(S1, S2, n1, n2).largest
+        l1 = fisher_eigenvalues(S1, S2, n1, n2, knob="n2").largest
         above += l1 > b
         above_slack += l1 > slack * b
     return {

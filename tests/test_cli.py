@@ -11,6 +11,7 @@ import pytest
 import fisherwatch
 from fisherwatch import io
 from fisherwatch.cli import main
+from fisherwatch.core import StateMatrix
 from fisherwatch.simgen import Scenario, generate
 
 SCENARIO = {
@@ -234,6 +235,25 @@ class TestExitCodes:
             assert code == 2, (argv, err)
             assert err.startswith("config-error:"), (argv, err)
             assert err.rstrip().count("\n") == 0, (argv, err)
+
+    def test_singular_covariance_names_its_own_setting(self, tmp_path, capsys):
+        # channel 5 stuck at 0.25 on samples 1031-1180 leaves the earlier
+        # segment of boundary 19 (width D) singular
+        X = generate(Scenario(p=20, T=2000, seed=3))[0]
+        values = X.values.copy()
+        values[4, 1030:1180] = 0.25
+        path = tmp_path / "stuck.csv"
+        io.write_state_csv(path, StateMatrix(values=values, channel_ids=X.channel_ids))
+        runs = [
+            (["screen", str(path)], "(boundary 19 at sample 1140); increase D"),
+            (["validate-null", "--esd-p", "3", "--esd-n", "2"], "; increase --esd-n"),
+        ]
+        for argv, ending in runs:
+            code = main([*argv, "--out-dir", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2, (argv, err)
+            assert err.startswith("singular-covariance:"), (argv, err)
+            assert err.rstrip().endswith(ending), (argv, err)
 
 
 def test_cli_import_leaves_out_scipy_stats_and_integrate():

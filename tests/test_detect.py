@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fisherwatch import spectral
 from fisherwatch.core import DetectionConfig, StateMatrix, validate_config
 from fisherwatch.detect import METHODS, localize, run_rule, scan, slide_windows
 from fisherwatch.errors import (
@@ -16,7 +17,13 @@ from fisherwatch.errors import (
 from fisherwatch.rmt import clt_constants
 from fisherwatch.screening import screen
 from fisherwatch.simgen import CovarianceEvent, Scenario, generate
-from fisherwatch.spectral import fisher_trace_sq_dev, window_covariances
+from fisherwatch.spectral import (
+    fisher_trace_sq_dev,
+    normalize_rows,
+    sample_covariance,
+    window_covariances,
+    window_spectrum,
+)
 
 #: each method's flag rule: strict for the edge detectors, closed for |L|
 COMPARISONS = {"dele": np.greater, "deht": np.greater_equal, "mp": np.greater}
@@ -185,8 +192,18 @@ class TestScans:
             assert trace.values[k] == pytest.approx(ref, rel=1e-8), k
 
 
+#: each method's per-window value on the direct path
+DIRECT = {
+    "dele": lambda w, ctx: window_spectrum(w, ctx).largest,
+    "deht": lambda w, ctx: fisher_trace_sq_dev(*window_covariances(w, ctx), ctx),
+    "mp": lambda w, ctx: np.linalg.eigvalsh(
+        sample_covariance(normalize_rows(w.columns, ctx))
+    )[-1],
+}
+
+
 class TestStuckChannel:
-    """deht raises where and what the per-window kernels raise."""
+    """Each engine raises where and what its direct path raises."""
 
     def stuck_interval(self, first, last):
         # channel 5 reads 0.25 at samples first..last (1-based) and varies
@@ -195,31 +212,41 @@ class TestStuckChannel:
         values[4, first - 1 : last] = 0.25
         return values[:, 900:1300]
 
-    def direct_error(self, data, cfg):
+    def direct_path(self, data, cfg, method):
+        """The first error of the direct path, or its values if none."""
+        values = []
         for w in slide_windows(data, cfg.d1, cfg.d2):
-            ctx = f"window {w.start + 1}"
             try:
-                fisher_trace_sq_dev(*window_covariances(w, ctx), ctx)
+                values.append(DIRECT[method](w, f"window {w.start + 1}"))
             except FisherwatchError as exc:
                 return exc
-        raise AssertionError("the direct path raised nowhere")
+        return np.array(values)
 
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize(
         "first, last, error",
         [
             # stuck across whole windows (width d = 40)
             (1001, 1150, DegenerateChannelError),
-            # stuck across the reference block (d2 = 30) of some windows only
+            # stuck across the reference block (d2 = 30) of some windows
+            # only: the Fisher detectors' denominator is singular there,
+            # while mp's whole-window covariance is not
             (1001, 1035, SingularCovarianceError),
         ],
     )
-    def test_same_error_as_direct_path(self, first, last, error):
+    def test_same_error_as_direct_path(self, first, last, error, method, monkeypatch):
+        monkeypatch.setattr(spectral, "LANCZOS_MIN_P", 0)  # dele on its engine at p=20
         cfg = validate_config(DetectionConfig(), 20)
         data = self.stuck_interval(first, last)
-        expected = self.direct_error(data, cfg)
+        expected = self.direct_path(data, cfg, method)
+        if method == "mp" and error is SingularCovarianceError:
+            trace, _ = scan(data, cfg, (901, 1300), method)
+            assert isinstance(expected, np.ndarray)
+            assert np.max(np.abs(trace.values - expected) / expected) < 1e-12
+            return
         assert type(expected) is error
         with pytest.raises(error) as err:
-            scan(data, cfg, (901, 1300), "deht")
+            scan(data, cfg, (901, 1300), method)
         assert err.value.code == expected.code
         assert str(err.value) == str(expected)
         assert f"(window {first - 900})" in str(expected)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fisherwatch import spectral
 from fisherwatch.blas import single_threaded
 from fisherwatch.errors import (
     DegenerateChannelError,
@@ -9,6 +10,7 @@ from fisherwatch.errors import (
     ShapeError,
     SingularCovarianceError,
 )
+from fisherwatch.rmt import mp_upper_edge, support_edges
 from fisherwatch.spectral import (
     REFRESH,
     FisherSpectrum,
@@ -17,6 +19,8 @@ from fisherwatch.spectral import (
     fisher_trace_sq_dev,
     normalize_rows,
     sample_covariance,
+    sliding_correlation_largest,
+    sliding_fisher_largest,
     sliding_trace_sq_dev,
     window_covariances,
     window_spectrum,
@@ -41,6 +45,14 @@ class TestNormalizeRows:
         with pytest.raises(DegenerateChannelError) as err:
             normalize_rows(seg, "unit test")
         assert err.value.row == 3
+
+    def test_constant_row_whose_mean_rounds(self):
+        # ten copies of 0.3 average to a neighbour of 0.3: sd 6e-17, not 0
+        seg = np.random.default_rng(0).standard_normal((4, 10))
+        seg[1] = 0.3
+        with pytest.raises(DegenerateChannelError) as err:
+            normalize_rows(seg)
+        assert err.value.row == 2
 
     def test_rejects_single_column(self):
         with pytest.raises(ShapeError):
@@ -205,7 +217,7 @@ def direct_traces(data, d1, d2):
     return np.array(traces)
 
 
-STREAMS = ("gaussian", "pmu", "scales", "jump", "ar1")
+STREAMS = ("gaussian", "pmu", "scales", "jump", "ar1", "spike", "drop")
 
 
 def oracle_stream(kind, p, W, rng):
@@ -219,6 +231,16 @@ def oracle_stream(kind, p, W, rng):
     if kind == "jump":
         g[:, W // 2 :] *= 1e3
         return g
+    if kind == "drop":  # a cleared fault: every channel falls by 1e3
+        g[:, : W // 2] *= 1e3
+        return g
+    if kind == "spike":
+        # a growing component along u keeps u the top direction until a
+        # strong rank-one spike along v, orthogonal to u, sets in mid-way
+        u, v = np.linalg.qr(rng.standard_normal((p, 2)))[0].T
+        g += np.outer(u, np.exp(4.0 * np.arange(W) / W) * rng.standard_normal(W))
+        g[:, W // 2 :] += np.outer(v, 10.0 * rng.standard_normal(W - W // 2))
+        return g
     # near-singular reference: AR(1) columns with coefficient 0.95
     x = g.copy()
     for t in range(1, W):
@@ -226,15 +248,21 @@ def oracle_stream(kind, p, W, rng):
     return x
 
 
+def oracle_case(p, kind):
+    """(d1, d2, data): the default geometry, except d2 = p+2 for the
+    near-singular case, on an interval 3*REFRESH+40 windows long."""
+    d1 = max(p - 10, 2)
+    d2 = p + 2 if kind == "ar1" else p + 10
+    W = d1 + d2 + 3 * REFRESH + 40
+    return d1, d2, oracle_stream(kind, p, W, np.random.default_rng([p, STREAMS.index(kind)]))
+
+
 class TestSlidingTraceSqDev:
     @pytest.mark.parametrize("kind", STREAMS)
     @pytest.mark.parametrize("p", [5, 20, 80])
     def test_matches_direct_kernels_on_every_window(self, p, kind):
-        # the default geometry, except d2 = p+2 for the near-singular case
-        d1 = max(p - 10, 2)
-        d2 = p + 2 if kind == "ar1" else p + 10
-        W = d1 + d2 + 3 * REFRESH + 40
-        data = oracle_stream(kind, p, W, np.random.default_rng([p, STREAMS.index(kind)]))
+        d1, d2, data = oracle_case(p, kind)
+        W = data.shape[1]
         with single_threaded():  # as on the scan path
             direct = direct_traces(data, d1, d2)
             fast = sliding_trace_sq_dev(data, d1, d2)
@@ -267,3 +295,108 @@ class TestSlidingTraceSqDev:
             sliding_trace_sq_dev(data, 4, 8)
         assert err.value.row == 4
         assert "window 1" in str(err.value)
+
+
+def direct_largest(data, d1, d2):
+    """lambda_max(F) of every window from the per-window kernels."""
+    d = d1 + d2
+    return np.array([
+        window_spectrum(WindowSplit(k, d2, d1, data[:, k : k + d]), f"window {k + 1}").largest
+        for k in range(data.shape[1] - d + 1)
+    ])
+
+
+class TestSlidingFisherLargest:
+    @pytest.fixture(autouse=True)
+    def lanczos_at_every_p(self, monkeypatch):
+        monkeypatch.setattr(spectral, "LANCZOS_MIN_P", 0)
+
+    @pytest.fixture
+    def direct_windows(self, monkeypatch):
+        """0-based windows that the reader computes with window_spectrum."""
+        starts = []
+
+        def recording(window, context=""):
+            starts.append(window.start)
+            return window_spectrum(window, context)
+
+        monkeypatch.setattr(spectral, "window_spectrum", recording)
+        return starts
+
+    @pytest.mark.parametrize("kind", STREAMS)
+    @pytest.mark.parametrize("p", [5, 20, 80])
+    def test_matches_direct_path_on_every_window(self, p, kind, direct_windows):
+        d1, d2, data = oracle_case(p, kind)
+        edge = support_edges(p / (d1 - 1), p / (d2 - 1)).b
+        with single_threaded():  # as on the scan path
+            direct = direct_largest(data, d1, d2)
+            fast = sliding_fisher_largest(data, d1, d2, edge)
+        assert fast.shape == direct.shape
+        assert np.max(np.abs(fast - direct) / direct) < 1e-8
+        assert np.array_equal(fast > edge, direct > edge)
+        assert len(direct_windows) < len(fast) // 10  # Lanczos did the work
+
+    def test_uncertified_window_takes_the_direct_path(self, direct_windows):
+        p, d1, d2, k = 20, 10, 30, 77
+        data = np.random.default_rng(14).standard_normal((p, 200))
+        with single_threaded():
+            direct = direct_largest(data, d1, d2)
+            fast = sliding_fisher_largest(data, d1, d2, direct[k])
+        assert direct_windows == [k]
+        assert fast[k] == direct[k]
+        assert not fast[k] > direct[k]  # the flag the direct path gives
+
+    def test_unconverged_windows_take_the_direct_path(self, monkeypatch, direct_windows):
+        monkeypatch.setattr(spectral, "LANCZOS_STEPS", 2)  # the cap, far too low
+        data = np.random.default_rng(15).standard_normal((20, 60))
+        fast = sliding_fisher_largest(data, 10, 30, 1.0)
+        assert direct_windows == list(range(21))
+        assert np.array_equal(fast, direct_largest(data, 10, 30))
+
+    def test_below_the_crossover_every_window_is_direct(self, monkeypatch, direct_windows):
+        monkeypatch.setattr(spectral, "LANCZOS_MIN_P", 21)
+        data = np.random.default_rng(15).standard_normal((20, 60))
+        fast = sliding_fisher_largest(data, 10, 30, 1.0)
+        assert direct_windows == list(range(21))
+        assert np.array_equal(fast, direct_largest(data, 10, 30))
+
+    @pytest.mark.parametrize("p", [5, 60])  # both sides of the crossover
+    def test_too_short(self, p):
+        with pytest.raises(RecordTooShortError):
+            sliding_fisher_largest(np.zeros((p, 2 * p)), p, p + 2, 1.0)
+
+
+def direct_correlation_largest(data, d):
+    """Top eigenvalue of every window's normalized-row covariance."""
+    return np.array([
+        np.linalg.eigvalsh(sample_covariance(normalize_rows(data[:, k : k + d])))[-1]
+        for k in range(data.shape[1] - d + 1)
+    ])
+
+
+class TestSlidingCorrelationLargest:
+    @pytest.mark.parametrize("kind", STREAMS)
+    @pytest.mark.parametrize("p", [5, 20, 80])
+    def test_matches_direct_path_on_every_window(self, p, kind):
+        d1, d2, data = oracle_case(p, kind)
+        d = d1 + d2
+        edge = mp_upper_edge(p / (d - 1))
+        with single_threaded():
+            direct = direct_correlation_largest(data, d)
+            fast = sliding_correlation_largest(data, d)
+        assert fast.shape == direct.shape
+        assert np.max(np.abs(fast - direct) / direct) < 1e-12
+        assert np.array_equal(fast > edge, direct > edge)
+
+    def test_too_short(self):
+        with pytest.raises(RecordTooShortError):
+            sliding_correlation_largest(np.zeros((4, 10)), 11)
+
+    @pytest.mark.parametrize("level", [0.25, 0.3])
+    def test_constant_row_raises_at_first_stuck_window(self, level):
+        data = np.random.default_rng(16).standard_normal((5, 120))
+        data[2, 50:90] = level  # constant across window 51 (width 40) only
+        with pytest.raises(DegenerateChannelError) as err:
+            sliding_correlation_largest(data, 40)
+        assert err.value.row == 3
+        assert "(window 51)" in str(err.value)
