@@ -93,15 +93,19 @@ def cmd_validate_null(args) -> int:
     if args.reps < MIN_REPS:
         raise ConfigError(f"need at least {MIN_REPS} replications, got {args.reps}")
     for flag, value, least in (("--n1", args.n1, 2), ("--n2", args.n2, 2),
-                               ("--esd-p", args.esd_p, 1)):
+                               ("--esd-p", args.esd_p, 1), ("--esd-n", args.esd_n, 2),
+                               ("--seed", args.seed, 0)):
         if value < least:
             raise ConfigError(f"{flag} must be at least {least}, got {value}")
+    if args.n2 < args.p + 2:  # the aspect ratio p / (n2 - 1) must lie below 1
+        raise ConfigError(f"--n2 must be at least --p + 2 = {args.p + 2}, got {args.n2}")
     cfg = validate_config(_load_config(args), args.p)
+    # the ESD draw is the quicker one, so its size errors come first
+    ks_esd = esd_vs_lsd_ks(args.esd_p, args.esd_n, seed=args.seed, knob="--esd-n")
     calib = null_calibration(
         args.p, args.n1, args.n2, args.reps, alpha=cfg.alpha, seed=args.seed,
         knob="--n2",
     )
-    ks_esd = esd_vs_lsd_ks(args.esd_p, args.esd_n, seed=args.seed, knob="--esd-n")
     out = _out_dir(args)
     calib_path = out / "calibration.json"
     io.write_json(

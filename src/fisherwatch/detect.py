@@ -3,9 +3,7 @@
 One sliding-window scan serves three detectors, each a per-window
 statistic compared with a closed-form threshold. Each reads an
 O(p^2)-per-step sliding engine in :mod:`~fisherwatch.spectral` instead
-of building every window, except dele below
-:data:`~fisherwatch.spectral.LANCZOS_MIN_P` channels, where the direct
-window path is faster.
+of building every window.
 
 * ``dele`` flags windows whose largest Fisher eigenvalue exceeds the
   upper support edge b of the limiting law (strict >); the eigenvalue
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,7 +38,6 @@ from .core import (
     StateMatrix,
     validate_config,
 )
-from .errors import RecordTooShortError
 from .rmt import (
     clt_constants,
     mp_upper_edge,
@@ -50,7 +47,6 @@ from .rmt import (
 )
 from .screening import screen
 from .spectral import (
-    WindowSplit,
     sliding_correlation_largest,
     sliding_fisher_largest,
     sliding_trace_sq_dev,
@@ -68,22 +64,6 @@ class DetectorTrace:
     values: np.ndarray  # lambda_1k, |L_k| or lambda_max, window k = 1..K
     threshold: float
     flags: np.ndarray
-
-
-def slide_windows(data: np.ndarray, d1: int, d2: int) -> Iterator[WindowSplit]:
-    """Step-1 sliding windows of width d = d1 + d2.
-
-    Window k (0-based start k) covers columns [k, k + d - 1]: a leading
-    reference block of width d2 and a trailing probe block of width d1.
-    """
-    d = d1 + d2
-    W = data.shape[1]
-    if W < d:
-        raise RecordTooShortError(
-            f"interval of width {W} cannot hold one window of width {d}"
-        )
-    for k in range(W - d + 1):
-        yield WindowSplit(start=k, n1=d2, n2=d1, columns=data[:, k : k + d])
 
 
 def run_rule(flags, s: int) -> Optional[int]:

@@ -100,6 +100,8 @@ class Scenario:
     def __post_init__(self):
         if self.p < 2 or self.T < 2:
             raise ScenarioError(f"need p >= 2 and T >= 2, got p={self.p}, T={self.T}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be non-negative, got {self.seed}")
         for e in self.events:
             if not 1 <= e.tau < self.T:
                 raise ScenarioError(f"event time {e.tau} outside [1, T-1]")

@@ -57,9 +57,6 @@ SCATTER_DROP = 1e-3
 LANCZOS_TOL = 1e-10
 LANCZOS_CHECK = 3
 LANCZOS_STEPS = 48
-#: below this many channels the direct window path is faster than the
-#: engine plus Lanczos (measured crossover at the default window shape)
-LANCZOS_MIN_P = 48
 #: a top eigenvalue from Lanczos certifies its flag only when farther from
 #: the edge than its residual bound and than FLAG_MARGIN times itself, which
 #: covers the rounding of M and of the R inner product
@@ -237,15 +234,6 @@ def window_spectrum(window: WindowSplit, context: str = "") -> FisherSpectrum:
     return fisher_eigenvalues(S_probe, S_ref, window.n2, window.n1, context)
 
 
-def _window_count(W: int, d: int) -> int:
-    """Step-1 windows of width d in an interval of width W."""
-    if W < d:
-        raise RecordTooShortError(
-            f"interval of width {W} cannot hold one window of width {d}"
-        )
-    return W - d + 1
-
-
 def _scaled_interval(data, d: int):
     """(data, Z, sd, stuck): the prologue of the sliding engines.
 
@@ -258,7 +246,11 @@ def _scaled_interval(data, d: int):
     """
     data = np.asarray(data, dtype=float)
     p, W = data.shape
-    K = _window_count(W, d)
+    if W < d:
+        raise RecordTooShortError(
+            f"interval of width {W} cannot hold one window of width {d}"
+        )
+    K = W - d + 1
     # repeats[i, t]: how many of row i's columns 1..t equal the column before
     repeats = np.zeros((p, W), dtype=np.int64)
     np.cumsum(data[:, 1:] == data[:, :-1], axis=1, out=repeats[:, 1:])
@@ -447,19 +439,11 @@ def sliding_fisher_largest(
     certified, or whose Lanczos run did not converge, is computed
     directly by :func:`window_spectrum`, and that value is reported. So
     every flag equals the direct path's, and values agree with it to
-    about 1e-9. Below LANCZOS_MIN_P channels every window is computed
-    directly.
+    about 1e-9.
     """
     d = d1 + d2
     data = np.asarray(data, dtype=float)
-    p, W = data.shape
-
-    def direct(k: int) -> float:
-        window = WindowSplit(k, d2, d1, data[:, k : k + d])
-        return window_spectrum(window, f"window {k + 1}").largest
-
-    if p < LANCZOS_MIN_P:
-        return np.array([direct(k) for k in range(_window_count(W, d))])
+    p = data.shape[0]
     r = (d2 - 1) / (d1 - 1)
     m = min(p, LANCZOS_STEPS)
     Q, RQ = np.empty((p, m + 1), order="F"), np.empty((p, m + 1), order="F")
@@ -475,7 +459,8 @@ def sliding_fisher_largest(
         if margin is not None and abs(r * theta - edge) > margin:
             values.append(r * theta)
         else:
-            values.append(direct(k))
+            window = WindowSplit(k, d2, d1, data[:, k : k + d])
+            values.append(window_spectrum(window, f"window {k + 1}").largest)
     return np.array(values)
 
 

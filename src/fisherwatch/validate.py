@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blas import single_threaded
+from .errors import ConfigError
 from .rmt import clt_constants, lsd_cdf, rejection_threshold, statistic_value, support_edges
 from .spectral import fisher_eigenvalues, fisher_trace_sq_dev, sample_covariance
 
@@ -52,13 +53,16 @@ def null_calibration(p, n1, n2, reps, alpha=0.01, seed=0, knob="n2") -> dict:
 def esd_vs_lsd_ks(p, n1, n2=None, seed=0, knob="n2") -> float:
     """KS distance between one standard Fisher ESD and the limiting CDF.
 
-    A singular denominator raises an error that names ``knob``, the
-    setting behind n2 (n1 when n2 is not given).
+    A singular denominator, or an n2 too small for the limiting law
+    (p / (n2 - 1) must lie below 1), raises an error that names ``knob``,
+    the setting behind n2 (n1 when n2 is not given).
     """
     n2 = n2 if n2 is not None else n1
     rng = np.random.default_rng(seed)
     S1, S2 = _draw_covariances(rng, p, n1, n2)
     spec = fisher_eigenvalues(S1, S2, n1, n2, knob=knob)
+    if n2 < p + 2:
+        raise ConfigError(f"{knob} must be at least p + 2 = {p + 2}, got {n2}")
     params = support_edges(spec.y_tau, spec.y_T)
     lam = np.sort(spec.eigenvalues)
     F = np.array([lsd_cdf(x, params) for x in lam])

@@ -225,15 +225,24 @@ class TestExitCodes:
                 assert err.rstrip().count("\n") == 0, (command, doc, err)
 
     def test_bad_sample_sizes(self, tmp_path, data_file, capsys):
-        # each used to end in a traceback or an unclear input-error
-        bad = [["validate-null", "--n1", "1"], ["validate-null", "--n2", "1"],
-               ["validate-null", "--esd-p", "0"],
-               ["bench", str(data_file), "--repeats", "0"]]
-        for argv in bad:
+        # each used to end in a traceback or in an error that named no flag
+        bad = [
+            (["validate-null", "--n1", "1"], "--n1"),
+            (["validate-null", "--n2", "1"], "--n2"),
+            (["validate-null", "--p", "20", "--n2", "5"], "--n2"),
+            (["validate-null", "--p", "20", "--n2", "21"], "--n2"),
+            (["validate-null", "--esd-p", "0"], "--esd-p"),
+            (["validate-null", "--esd-n", "1"], "--esd-n"),
+            (["validate-null", "--esd-p", "3", "--esd-n", "4"], "--esd-n"),
+            (["validate-null", "--seed", "-1"], "--seed"),
+            (["bench", str(data_file), "--repeats", "0"], "--repeats"),
+        ]
+        for argv, flag in bad:
             code = main([*argv, "--out-dir", str(tmp_path / "out")])
             err = capsys.readouterr().err
             assert code == 2, (argv, err)
             assert err.startswith("config-error:"), (argv, err)
+            assert flag in err, (argv, err)
             assert err.rstrip().count("\n") == 0, (argv, err)
 
     def test_singular_covariance_names_its_own_setting(self, tmp_path, capsys):

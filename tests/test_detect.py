@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fisherwatch import spectral
 from fisherwatch.core import DetectionConfig, StateMatrix, validate_config
-from fisherwatch.detect import METHODS, localize, run_rule, scan, slide_windows
+from fisherwatch.detect import METHODS, localize, run_rule, scan
 from fisherwatch.errors import (
     ConfigError,
     DegenerateChannelError,
@@ -18,6 +17,7 @@ from fisherwatch.rmt import clt_constants
 from fisherwatch.screening import screen
 from fisherwatch.simgen import CovarianceEvent, Scenario, generate
 from fisherwatch.spectral import (
+    WindowSplit,
     fisher_trace_sq_dev,
     normalize_rows,
     sample_covariance,
@@ -80,28 +80,6 @@ class TestRunRule:
         flags = list(rng.random(60) < 0.5)
         found = [run_rule(flags, s) is not None for s in (1, 2, 4, 8)]
         assert found == sorted(found, reverse=True)
-
-
-class TestSlideWindows:
-    def test_window_count_matches_interval_arithmetic(self):
-        data = np.random.default_rng(1).standard_normal((80, 1681))
-        wins = list(slide_windows(data, 70, 90))
-        assert len(wins) == 1522  # W - d + 1
-
-    def test_layout_reference_then_probe(self):
-        data = np.random.default_rng(2).standard_normal((4, 30))
-        wins = list(slide_windows(data, 6, 9))
-        assert len(wins) == 16
-        w = wins[3]
-        assert w.start == 3
-        assert w.n1 == 9  # leading reference block, width d2
-        assert w.n2 == 6  # trailing probe block, width d1
-        assert np.array_equal(w.columns, data[:, 3:18])
-
-    def test_too_short(self):
-        data = np.zeros((4, 10))
-        with pytest.raises(RecordTooShortError):
-            list(slide_windows(data, 6, 9))
 
 
 @pytest.fixture(scope="module")
@@ -215,9 +193,10 @@ class TestStuckChannel:
     def direct_path(self, data, cfg, method):
         """The first error of the direct path, or its values if none."""
         values = []
-        for w in slide_windows(data, cfg.d1, cfg.d2):
+        for k in range(data.shape[1] - cfg.d + 1):
+            w = WindowSplit(k, cfg.d2, cfg.d1, data[:, k : k + cfg.d])
             try:
-                values.append(DIRECT[method](w, f"window {w.start + 1}"))
+                values.append(DIRECT[method](w, f"window {k + 1}"))
             except FisherwatchError as exc:
                 return exc
         return np.array(values)
@@ -234,8 +213,7 @@ class TestStuckChannel:
             (1001, 1035, SingularCovarianceError),
         ],
     )
-    def test_same_error_as_direct_path(self, first, last, error, method, monkeypatch):
-        monkeypatch.setattr(spectral, "LANCZOS_MIN_P", 0)  # dele on its engine at p=20
+    def test_same_error_as_direct_path(self, first, last, error, method):
         cfg = validate_config(DetectionConfig(), 20)
         data = self.stuck_interval(first, last)
         expected = self.direct_path(data, cfg, method)

@@ -108,6 +108,11 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             Scenario(p=1, T=100)
 
+    def test_negative_seed(self):
+        # numpy's own refusal named no setting
+        with pytest.raises(ScenarioError, match="seed"):
+            Scenario(p=4, T=100, seed=-2)
+
 
 class TestGenerate:
     def test_deterministic_for_fixed_seed(self):

@@ -307,10 +307,6 @@ def direct_largest(data, d1, d2):
 
 
 class TestSlidingFisherLargest:
-    @pytest.fixture(autouse=True)
-    def lanczos_at_every_p(self, monkeypatch):
-        monkeypatch.setattr(spectral, "LANCZOS_MIN_P", 0)
-
     @pytest.fixture
     def direct_windows(self, monkeypatch):
         """0-based windows that the reader computes with window_spectrum."""
@@ -353,14 +349,7 @@ class TestSlidingFisherLargest:
         assert direct_windows == list(range(21))
         assert np.array_equal(fast, direct_largest(data, 10, 30))
 
-    def test_below_the_crossover_every_window_is_direct(self, monkeypatch, direct_windows):
-        monkeypatch.setattr(spectral, "LANCZOS_MIN_P", 21)
-        data = np.random.default_rng(15).standard_normal((20, 60))
-        fast = sliding_fisher_largest(data, 10, 30, 1.0)
-        assert direct_windows == list(range(21))
-        assert np.array_equal(fast, direct_largest(data, 10, 30))
-
-    @pytest.mark.parametrize("p", [5, 60])  # both sides of the crossover
+    @pytest.mark.parametrize("p", [5, 60])
     def test_too_short(self, p):
         with pytest.raises(RecordTooShortError):
             sliding_fisher_largest(np.zeros((p, 2 * p)), p, p + 2, 1.0)
