@@ -1,20 +1,30 @@
-"""Single-threaded BLAS for the per-window kernels.
+"""Single-threaded BLAS for the per-window kernels, and scipy on demand.
 
 Every product on the hot path is p x p or p x d with p in the tens to
 low hundreds. At that size OpenBLAS's worker threads cost more in
 wake-up and hand-off than they save: with two threads a localization
 run spends most of its wall time in thread synchronization. numpy and
 scipy each bundle their own OpenBLAS, so both pools are pinned.
+
+The screen and ``simulate`` need numpy alone, so nothing here imports
+scipy until an engine asks for it through :func:`scipy_linalg`. Its pool
+is pinned from then on: by the next block to enter, or at once when the
+first load falls inside an open block.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import importlib
+import sys
 import threading
 from contextlib import contextmanager
 
+#: the extension module that links scipy's bundled OpenBLAS
+_SCIPY_BLAS = "scipy.linalg._fblas"
 
+
+@functools.cache
 def _pool(module_name: str, suffix: str):
     """(get, set) thread-count entry points of one bundled OpenBLAS, or None."""
     try:
@@ -28,12 +38,11 @@ def _pool(module_name: str, suffix: str):
     return get, set_
 
 
-@functools.cache
 def _pools() -> tuple:
-    found = (
-        _pool("numpy._core._multiarray_umath", "64_"),
-        _pool("scipy.linalg._fblas", ""),
-    )
+    """The loaded pools with thread controls: numpy's, then scipy's once loaded."""
+    found = [_pool("numpy._core._multiarray_umath", "64_")]
+    if _SCIPY_BLAS in sys.modules:
+        found.append(_pool(_SCIPY_BLAS, ""))
     return tuple(p for p in found if p is not None)
 
 
@@ -43,23 +52,29 @@ def _pools() -> tuple:
 # keeps a leaving block from unpinning a running one.
 _lock = threading.Lock()
 _depth = 0
-_saved: list = []
+_saved: list = []  # (set, count before the pin) of each pinned pool
+
+
+def _pin_unsaved():
+    """Save and pin each loaded pool that the open blocks have not pinned yet."""
+    for get, set_ in _pools():
+        if all(set_ is not pinned for pinned, _ in _saved):
+            _saved.append((set_, get()))
+            set_(1)
 
 
 @contextmanager
 def single_threaded():
-    """Pin every bundled OpenBLAS pool to one thread, then restore it.
+    """Pin every loaded bundled OpenBLAS pool to one thread, then restore it.
 
     Blocks may nest and may overlap across Python threads; the previous
     counts come back when the last one exits. Where no pool exposes its
     thread controls, this does nothing.
     """
-    global _depth, _saved
+    global _depth
     with _lock:
         if _depth == 0:
-            _saved = [(set_, get()) for get, set_ in _pools()]
-            for set_, _ in _saved:
-                set_(1)
+            _pin_unsaved()
         _depth += 1
     try:
         yield
@@ -69,3 +84,18 @@ def single_threaded():
             if _depth == 0:
                 for set_, n in _saved:
                     set_(n)
+                _saved.clear()
+
+
+@functools.cache
+def scipy_linalg():
+    """``scipy.linalg``, imported on the first call.
+
+    A first call inside an open :func:`single_threaded` block pins scipy's
+    pool at once, and the last block to exit restores it.
+    """
+    import scipy.linalg
+    with _lock:
+        if _depth:
+            _pin_unsaved()
+    return scipy.linalg

@@ -92,9 +92,9 @@ def cmd_validate_null(args) -> int:
     from .validate import esd_vs_lsd_ks, null_calibration  # only command that needs scipy.stats
     if args.reps < MIN_REPS:
         raise ConfigError(f"need at least {MIN_REPS} replications, got {args.reps}")
-    for flag, value, least in (("--n1", args.n1, 2), ("--n2", args.n2, 2),
-                               ("--esd-p", args.esd_p, 1), ("--esd-n", args.esd_n, 2),
-                               ("--seed", args.seed, 0)):
+    for flag, value, least in (("--p", args.p, 2), ("--n1", args.n1, 2),
+                               ("--n2", args.n2, 2), ("--esd-p", args.esd_p, 1),
+                               ("--esd-n", args.esd_n, 2), ("--seed", args.seed, 0)):
         if value < least:
             raise ConfigError(f"{flag} must be at least {least}, got {value}")
     if args.n2 < args.p + 2:  # the aspect ratio p / (n2 - 1) must lie below 1

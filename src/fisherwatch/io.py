@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict, fields
+from io import StringIO
 from pathlib import Path
 from typing import Optional
 
@@ -26,13 +27,21 @@ SCHEMA_VERSION = "1"
 # ---------------------------------------------------------------------------
 # CSV
 
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row: quoted where needed."""
+    buf = StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def write_state_csv(path, X: StateMatrix, header: bool = True):
+    """The bytes ``csv.writer`` would write. A float's repr never needs
+    quoting, so only the ids go through csv."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
         if header:
-            w.writerow(["channel"] + [str(t) for t in range(1, X.T + 1)])
+            fh.write(",".join(["channel", *map(str, range(1, X.T + 1))]) + "\r\n")
         for cid, row in zip(X.channel_ids, X.values):
-            w.writerow([cid, *map(repr, row.tolist())])
+            fh.write(f"{_csv_cell(cid)},{','.join(map(repr, row.tolist()))}\r\n")
 
 
 def _data_cells(rec) -> Optional[np.ndarray]:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError
 
@@ -149,7 +149,7 @@ def gaussian_quantile(q: float) -> float:
     """Inverse standard-normal CDF."""
     if not 0.0 < q < 1.0:
         raise ConfigError(f"quantile level must lie in (0, 1), got {q}")
-    return float(special.ndtri(q))
+    return NormalDist().inv_cdf(q)
 
 
 def rejection_threshold(alpha: float) -> float:

@@ -17,6 +17,12 @@ O(p^2) per step, so one interval's windows run in order:
 Each engine recomputes a window directly every REFRESH steps, where a
 channel is constant across it and where a guard does not trust the
 updates, so it raises the direct path's errors at the same windows.
+
+The screen's kernels (:func:`fisher_trace_sq_dev` and what it calls)
+run on numpy alone, so ``screen`` loads no scipy. The engines and
+:func:`fisher_eigenvalues` take scipy's BLAS and LAPACK wrappers from
+:func:`~fisherwatch.blas.scipy_linalg`, which imports ``scipy.linalg``
+on first use and pins its pool then.
 """
 from __future__ import annotations
 
@@ -24,9 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import blas, lapack
 
+from .blas import scipy_linalg
 from .errors import (
     DegenerateChannelError,
     RecordTooShortError,
@@ -150,8 +155,8 @@ def _cholesky_spd(S2: np.ndarray, context: str = "", knob: str = "d2") -> np.nda
     """
     where = f" ({context})" if context else ""
     try:
-        L = linalg.cholesky(S2, lower=True, check_finite=False)
-    except linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(S2)
+    except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError(
             f"second covariance not positive definite{where}; increase {knob}"
         ) from exc
@@ -183,7 +188,7 @@ def fisher_eigenvalues(
     if S1.shape != (p, p) or S2.shape != (p, p):
         raise ShapeError("covariances must be square and equally sized")
     _cholesky_spd(S2, context, knob)
-    lam = linalg.eigh(S1, S2, eigvals_only=True, check_finite=False)
+    lam = scipy_linalg().eigh(S1, S2, eigvals_only=True, check_finite=False)
     lam = np.where(np.abs(lam) < 1e-12, 0.0, lam)[::-1].copy()
     return FisherSpectrum(
         eigenvalues=lam,
@@ -198,16 +203,15 @@ def fisher_trace_sq_dev(
 ) -> float:
     """tr{(S1 S2^-1 - I)^2} without an eigendecomposition.
 
-    A pair of triangular solves against the Cholesky factor of S2 is
-    cheaper than the full spectrum; this is the fast path of the
-    statistic-based detector. A singular S2 raises an error that names
-    ``knob`` (see ``_cholesky_spd``).
+    A pair of solves against the Cholesky factor of S2 is cheaper than
+    the full spectrum; the screen's boundary test and the null
+    calibration use it. It runs on numpy alone. A singular S2 raises an
+    error that names ``knob`` (see ``_cholesky_spd``).
     """
     p = S1.shape[0]
     L = _cholesky_spd(S2, context, knob)
-    # F^T = S2^-1 S1 via two triangular solves
-    Ft = linalg.solve_triangular(L, S1, lower=True, check_finite=False)
-    Ft = linalg.solve_triangular(L.T, Ft, lower=False, check_finite=False)
+    # F^T = S2^-1 S1 via two solves, against L and then L^T
+    Ft = np.linalg.solve(L.T, np.linalg.solve(L, S1))
     M = Ft.T - np.eye(p)
     # tr(M^2) = sum_ij M_ij M_ji
     return float(np.sum(M * M.T))
@@ -289,7 +293,8 @@ def _fisher_states(data, d1: int, d2: int):
     p = data.shape[0]
     r = (d2 - 1) / (d1 - 1)
     probes = np.random.default_rng(0).standard_normal((p, 2))
-    ger = blas.dger
+    linalg = scipy_linalg()
+    ger = linalg.blas.dger
 
     def refresh(k: int):
         """B, M, the two block means and ref of window k, computed directly."""
@@ -389,7 +394,8 @@ def _lanczos_top(M: np.ndarray, ref: np.ndarray, v: np.ndarray, Q, RQ, a, b):
     when m steps did not converge. theta is at most the largest
     eigenvalue of M, and some eigenvalue of M lies within rho of it.
     """
-    gemv, dot = blas.dgemv, blas.ddot
+    linalg = scipy_linalg()
+    gemv, dot, stev = linalg.blas.dgemv, linalg.blas.ddot, linalg.lapack.dstev
     refT = ref.T  # Fortran order, so BLAS takes it without a copy
     Rv = gemv(1.0, refT, gemv(1.0, refT, v), trans=1)
     norm = math.sqrt(dot(v, Rv))
@@ -410,7 +416,7 @@ def _lanczos_top(M: np.ndarray, ref: np.ndarray, v: np.ndarray, Q, RQ, a, b):
         # that space is invariant and its Ritz values are exact
         done = beta <= BREAKDOWN * math.sqrt(dot(h, h))
         if done or j + 1 == m or (j + 1) % LANCZOS_CHECK == 0:
-            thetas, S, _ = lapack.dstev(a[: j + 1], b[:j], compute_v=True)
+            thetas, S, _ = stev(a[: j + 1], b[:j], compute_v=True)
             theta, s = thetas[-1], S[:, -1]
             rho = beta * abs(s[-1])
             if done or rho <= LANCZOS_TOL * theta:
@@ -479,7 +485,7 @@ def sliding_correlation_largest(data: np.ndarray, d: int) -> np.ndarray:
     since the last refresh.
     """
     data, Z, _, stuck = _scaled_interval(data, d)
-    ger = blas.dger
+    ger = scipy_linalg().blas.dger
 
     def refresh(k: int):
         """Scatter, mean and peak diagonal of window k, computed directly."""

@@ -12,6 +12,7 @@ import fisherwatch
 from fisherwatch import io
 from fisherwatch.cli import main
 from fisherwatch.core import StateMatrix
+from fisherwatch.detect import METHODS
 from fisherwatch.simgen import Scenario, generate
 
 SCENARIO = {
@@ -227,6 +228,8 @@ class TestExitCodes:
     def test_bad_sample_sizes(self, tmp_path, data_file, capsys):
         # each used to end in a traceback or in an error that named no flag
         bad = [
+            (["validate-null", "--p", "0"], "--p"),
+            (["validate-null", "--p", "1"], "--p"),
             (["validate-null", "--n1", "1"], "--n1"),
             (["validate-null", "--n2", "1"], "--n2"),
             (["validate-null", "--p", "20", "--n2", "5"], "--n2"),
@@ -276,3 +279,40 @@ def test_cli_import_leaves_out_scipy_stats_and_integrate():
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def scipy_modules_after(*argvs):
+    """scipy* modules loaded in a fresh interpreter after importing the CLI,
+    then after each of ``argvs`` in turn: one sorted list per stage."""
+    src = Path(fisherwatch.__file__).resolve().parents[1]
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import fisherwatch.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "stages = [loaded()]\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    assert fisherwatch.cli.main(argv) == 0, argv\n"
+        "    stages.append(loaded())\n"
+        "print(json.dumps(stages))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src), json.dumps(argvs)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_cli_import_simulate_and_screen_load_no_scipy(tmp_path, scenario_file):
+    data = tmp_path / "sim" / "data.csv"
+    stages = scipy_modules_after(
+        ["simulate", str(scenario_file), "--out-dir", str(data.parent)],
+        ["screen", str(data), "--out-dir", str(tmp_path / "screen")],
+    )
+    assert stages == [[], [], []]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_detect_loads_scipy_linalg_but_not_special(tmp_path, data_file, method):
+    argv = ["detect", str(data_file), "--method", method, "--out-dir", str(tmp_path)]
+    loaded = scipy_modules_after(argv)[-1]
+    assert "scipy.linalg" in loaded
+    assert "scipy.special" not in loaded

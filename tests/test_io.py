@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import asdict
 
@@ -61,6 +62,18 @@ class TestStateCsv:
         assert path.read_bytes() == (
             b'channel,1,2,3\r\n"a,b",1.0,-0.0,5e-324\r\nc,0.1,1e+16,2.5\r\n'
         )
+
+    def test_ids_quoted_as_csv_writer_quotes_them(self, tmp_path):
+        ids = ('say "hi"', "a,b", "line\nbreak", "", "plain")
+        values = np.arange(15.0).reshape(5, 3) / 7
+        path = tmp_path / "out.csv"
+        io.write_state_csv(path, StateMatrix(values=values, channel_ids=ids))
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["channel", "1", "2", "3"])
+            for cid, row in zip(ids, values):
+                w.writerow([cid, *map(repr, row.tolist())])
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def read_text_csv(tmp_path, text):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from fisherwatch.errors import ConfigError
 from fisherwatch.rmt import (
@@ -174,6 +174,16 @@ class TestQuantiles:
 
     def test_symmetry(self):
         assert gaussian_quantile(0.3) == pytest.approx(-gaussian_quantile(0.7), abs=1e-12)
+
+    # upper tail, lower-tail mirrors, and U_{1-alpha/2} at the default and
+    # criterion-1 alpha (0.01) and at 0.05
+    UPPER = [0.5, 0.9, 0.95, 0.975, 0.995, 0.9995, 1 - 1e-10]
+    LEVELS = UPPER + [1 - q for q in UPPER] + [1 - alpha / 2 for alpha in (0.01, 0.05)]
+
+    @pytest.mark.parametrize("q", LEVELS)
+    def test_against_scipy_ndtri(self, q):
+        x = special.ndtri(q)
+        assert abs(gaussian_quantile(q) - x) <= 1e-15 * max(1.0, abs(x))
 
     def test_rejection_threshold_two_sided(self):
         assert rejection_threshold(0.01) == pytest.approx(gaussian_quantile(0.995))
