@@ -16,8 +16,9 @@ of building every window.
   (:func:`~fisherwatch.spectral.sliding_trace_sq_dev`);
 * ``mp`` is the Marchenko-Pastur baseline on the plain sample covariance
   (strict >): the top eigenvalue of each window's correlation matrix,
-  from a rank-1-updated window scatter
-  (:func:`~fisherwatch.spectral.sliding_correlation_largest`).
+  from a rank-1-updated window scatter written into one preallocated
+  buffer, by a top-only bisection solve (LAPACK ``dsyevx``,
+  ``range='I'``; :func:`~fisherwatch.spectral.sliding_correlation_largest`).
 
 A fault is declared only after s consecutive flagged windows; the
 declared time is the last column of the window completing the run.

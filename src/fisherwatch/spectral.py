@@ -11,8 +11,10 @@ O(p^2) per step, so one interval's windows run in order:
   computes a window directly where the Lanczos residual cannot certify
   its flag;
 * the window-scatter engine :func:`sliding_correlation_largest` keeps
-  the whole window's scatter by rank-1 updates and takes the exact top
-  eigenvalue of its correlation matrix.
+  the whole window's scatter by rank-1 updates, writes each window's
+  correlation matrix into one preallocated buffer and reads only its top
+  eigenvalue, by bisection on the tridiagonal (LAPACK ``dsyevx``,
+  ``range='I'``).
 
 Each engine recomputes a window directly every REFRESH steps, where a
 channel is constant across it and where a guard does not trust the
@@ -34,6 +36,7 @@ import numpy as np
 from .blas import scipy_linalg
 from .errors import (
     DegenerateChannelError,
+    FisherwatchError,
     RecordTooShortError,
     ShapeError,
     SingularCovarianceError,
@@ -203,17 +206,17 @@ def fisher_trace_sq_dev(
 ) -> float:
     """tr{(S1 S2^-1 - I)^2} without an eigendecomposition.
 
-    A pair of solves against the Cholesky factor of S2 is cheaper than
-    the full spectrum; the screen's boundary test and the null
-    calibration use it. It runs on numpy alone. A singular S2 raises an
-    error that names ``knob`` (see ``_cholesky_spd``).
+    One linear solve is cheaper than the full spectrum; the screen's
+    boundary test and the null calibration use it. It runs on numpy
+    alone. The Cholesky factor of S2 only checks its pivots: a singular
+    S2 raises an error that names ``knob`` (see ``_cholesky_spd``).
     """
     p = S1.shape[0]
-    L = _cholesky_spd(S2, context, knob)
-    # F^T = S2^-1 S1 via two solves, against L and then L^T
-    Ft = np.linalg.solve(L.T, np.linalg.solve(L, S1))
-    M = Ft.T - np.eye(p)
-    # tr(M^2) = sum_ij M_ij M_ji
+    _cholesky_spd(S2, context, knob)
+    # M = F^T - I, with F^T = S2^-1 S1: numpy has no triangular solve, so
+    # one general solve costs less than two against the factor
+    M = np.linalg.solve(S2, S1) - np.eye(p)
+    # tr(M^2) = sum_ij M_ij M_ji, the same for F^T as for F
     return float(np.sum(M * M.T))
 
 
@@ -302,11 +305,15 @@ def _fisher_states(data, d1: int, d2: int):
         ctx = f"window {k + 1}"
         S_probe, S_ref = window_covariances(WindowSplit(k, d2, d1, cols), ctx)
         L = _cholesky_spd(S_ref, ctx)
-        S_inv = linalg.cho_solve((L, True), np.eye(p), check_finite=False)
+        # S_ref^-1 from its factor: potri fills the lower triangle, and the
+        # pivot floor of _cholesky_spd leaves it no zero pivot to report
+        S_inv = linalg.lapack.dpotri(L, lower=1)[0]
+        S_inv = np.tril(S_inv) + np.tril(S_inv, -1).T
         # the normalized columns are the scaled ones times D
         D = sd / cols.std(axis=1, ddof=1)
         B = np.asfortranarray(S_inv * np.outer(D, D) / (d2 - 1))
-        M = np.asfortranarray((S_inv @ S_probe) * np.outer(D, 1.0 / D) / r)
+        # M by the one solve of fisher_trace_sq_dev, so both round alike
+        M = np.asfortranarray(np.linalg.solve(S_ref, S_probe) * np.outer(D, 1.0 / D) / r)
         means = [Z[:, k : k + d2].mean(axis=1), Z[:, k + d2 : k + d].mean(axis=1)]
         return B, M, means, Z[:, k : k + d2] - means[0][:, None]
 
@@ -478,14 +485,20 @@ def sliding_correlation_largest(data: np.ndarray, d: int) -> np.ndarray:
     ``sample_covariance(normalize_rows(w))``, and the scatter rescaled by
     its diagonal. The scatter and mean of the scaled interval Z (see
     :func:`_scaled_interval`) follow by two rank-1 (Welford) updates per
-    step, and ``eigvalsh`` gives the exact top eigenvalue. The scatter is
-    recomputed every REFRESH steps, where a channel is constant across
-    the window (there ``normalize_rows`` raises the direct path's error),
-    and where a diagonal entry has fallen below SCATTER_DROP of its peak
-    since the last refresh.
+    step. Each window's correlation matrix is written into one p x p
+    buffer, and LAPACK ``dsyevx`` (``range='I'``) reduces it to a
+    tridiagonal and finds only the top eigenvalue by bisection. The
+    scatter is recomputed every REFRESH steps, where a channel is
+    constant across the window (there ``normalize_rows`` raises the
+    direct path's error), and where a diagonal entry has fallen below
+    SCATTER_DROP of its peak since the last refresh. A solve that does
+    not return one eigenvalue raises :class:`FisherwatchError` with the
+    context ``window k+1``.
     """
     data, Z, _, stuck = _scaled_interval(data, d)
-    ger = scipy_linalg().blas.dger
+    p = data.shape[0]
+    linalg = scipy_linalg()
+    ger, syevx = linalg.blas.dger, linalg.lapack.dsyevx
 
     def refresh(k: int):
         """Scatter, mean and peak diagonal of window k, computed directly."""
@@ -509,6 +522,7 @@ def sliding_correlation_largest(data: np.ndarray, d: int) -> np.ndarray:
         return bool((C.diagonal() >= SCATTER_DROP * peak).all())
 
     values = np.empty(len(stuck))
+    G = np.empty((p, p), order="F")  # the correlation matrix, overwritten
     C, mean, peak = refresh(0)
     since = 0
     for k in range(len(stuck)):
@@ -518,5 +532,13 @@ def sliding_correlation_largest(data: np.ndarray, d: int) -> np.ndarray:
                 C, mean, peak = refresh(k)
                 since = 0
         s = 1.0 / np.sqrt(C.diagonal())
-        values[k] = np.linalg.eigvalsh(C * np.outer(s, s))[-1]
+        np.multiply(C, s[:, None], out=G)
+        G *= s
+        w, _, m, _, info = syevx(G, compute_v=0, range="I", il=p, iu=p, overwrite_a=1)
+        if info != 0 or m != 1:
+            raise FisherwatchError(
+                f"top eigenvalue of the correlation matrix not found (window {k + 1}): "
+                f"dsyevx returned info={info}, m={m}"
+            )
+        values[k] = w[0]
     return values

@@ -70,7 +70,8 @@ def test_overlapping_threads_stay_pinned(two_threads):
 
 # Run in a fresh interpreter, so scipy is not loaded when localize enters
 # its block: numpy's pool starts at two threads, and so does scipy's, the
-# moment its BLAS module loads. The spies read both pools inside the engine.
+# moment its BLAS module loads. The spies read both pools inside the engine:
+# at each top-eigenvalue solve (mp) or each Fisher state (dele, deht).
 PINNED_SCRIPT = """
 import importlib.abc, importlib.util, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -100,11 +101,19 @@ X, _ = generate(io.parse_scenario(json.loads(sys.argv[3])))
 inside = []
 method = sys.argv[2]
 if method == "mp":
-    eigvalsh = np.linalg.eigvalsh
-    def spy(a):
-        inside.append(counts())
-        return eigvalsh(a)
-    np.linalg.eigvalsh = spy
+    # on its first call, the engine's loader wraps the LAPACK routine that
+    # the engine then fetches from the freshly loaded scipy.linalg
+    load = spectral.scipy_linalg
+    def load_and_spy():
+        linalg = load()
+        dsyevx = linalg.lapack.dsyevx
+        def spy(*args, **kwargs):
+            inside.append(counts())
+            return dsyevx(*args, **kwargs)
+        linalg.lapack.dsyevx = spy
+        spectral.scipy_linalg = load
+        return linalg
+    spectral.scipy_linalg = load_and_spy
 else:
     states = spectral._fisher_states
     def spy(*args):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fisherwatch import spectral
-from fisherwatch.blas import single_threaded
+from fisherwatch.blas import scipy_linalg, single_threaded
 from fisherwatch.errors import (
     DegenerateChannelError,
+    FisherwatchError,
     RecordTooShortError,
     ShapeError,
     SingularCovarianceError,
@@ -363,19 +364,68 @@ def direct_correlation_largest(data, d):
     ])
 
 
+def assert_correlation_parity(data, d):
+    """Every window's value within 1e-12 of the direct path, every flag equal."""
+    edge = mp_upper_edge(data.shape[0] / (d - 1))
+    with single_threaded():
+        direct = direct_correlation_largest(data, d)
+        fast = sliding_correlation_largest(data, d)
+    assert fast.shape == direct.shape == (data.shape[1] - d + 1,)
+    assert np.max(np.abs(fast - direct) / direct) < 1e-12
+    assert np.array_equal(fast > edge, direct > edge)
+
+
+def correlation_case(p, seed):
+    """(d, gaussian data): the default window on 3*REFRESH+40 windows."""
+    d = max(p - 10, 2) + p + 10
+    return d, np.random.default_rng(seed).standard_normal((p, d + 3 * REFRESH + 39))
+
+
 class TestSlidingCorrelationLargest:
     @pytest.mark.parametrize("kind", STREAMS)
     @pytest.mark.parametrize("p", [5, 20, 80])
     def test_matches_direct_path_on_every_window(self, p, kind):
         d1, d2, data = oracle_case(p, kind)
-        d = d1 + d2
-        edge = mp_upper_edge(p / (d - 1))
-        with single_threaded():
-            direct = direct_correlation_largest(data, d)
-            fast = sliding_correlation_largest(data, d)
-        assert fast.shape == direct.shape
-        assert np.max(np.abs(fast - direct) / direct) < 1e-12
-        assert np.array_equal(fast > edge, direct > edge)
+        assert_correlation_parity(data, d1 + d2)
+
+    @pytest.mark.parametrize("p", [2, 5, 20, 80])
+    def test_duplicated_channel(self, p):
+        # two equal rows make every window's correlation matrix singular
+        d, data = correlation_case(p, [17, p])
+        data[-1] = data[0]
+        assert_correlation_parity(data, d)
+
+    @pytest.mark.parametrize("p", [4, 20, 80])
+    def test_near_tied_top_eigenvalue(self, p):
+        # equal-strength spikes on disjoint halves of the channels: a cosine
+        # and a sine of period d, which in every window have equal energy
+        # and no cross term, so the top two eigenvalues differ only through
+        # the noise (about 1e-3 relative)
+        d, data = correlation_case(p, [18, p])
+        half = p // 2
+        phase = 2.0 * np.pi * np.arange(data.shape[1]) / d
+        data[:half] += 30.0 * np.cos(phase)
+        data[half : 2 * half] += 30.0 * np.sin(phase)
+        assert_correlation_parity(data, d)
+
+    def test_matches_direct_path_at_p200(self):
+        d1, d2, data = oracle_case(200, "spike")
+        assert_correlation_parity(data, d1 + d2)
+
+    @pytest.mark.parametrize("info, m", [(1, 1), (0, 0)])
+    def test_failed_top_eigenvalue_solve_raises(self, monkeypatch, info, m):
+        lapack = scipy_linalg().lapack
+        dsyevx, calls = lapack.dsyevx, []
+
+        def failing_on_fifth_call(*args, **kwargs):
+            calls.append(None)
+            w, z, found, ifail, status = dsyevx(*args, **kwargs)
+            return (w, z, m, ifail, info) if len(calls) == 5 else (w, z, found, ifail, status)
+
+        monkeypatch.setattr(lapack, "dsyevx", failing_on_fifth_call)
+        data = np.random.default_rng(20).standard_normal((6, 60))
+        with pytest.raises(FisherwatchError, match=r"\(window 5\)"):
+            sliding_correlation_largest(data, 20)
 
     def test_too_short(self):
         with pytest.raises(RecordTooShortError):
