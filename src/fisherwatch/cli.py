@@ -20,6 +20,7 @@ from .detect import METHODS, localize
 from .errors import ConfigError, FisherwatchError, ShapeError
 from .screening import screen
 from .simgen import generate
+from .validate import esd_vs_lsd_ks, null_calibration
 
 DEFAULT_SEED = 12345
 MIN_REPS = 100
@@ -89,7 +90,6 @@ def cmd_detect(args) -> int:
 
 
 def cmd_validate_null(args) -> int:
-    from .validate import esd_vs_lsd_ks, null_calibration  # only command that needs scipy.stats
     if args.reps < MIN_REPS:
         raise ConfigError(f"need at least {MIN_REPS} replications, got {args.reps}")
     for flag, value, least in (("--p", args.p, 2), ("--n1", args.n1, 2),

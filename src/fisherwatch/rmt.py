@@ -1,6 +1,6 @@
 """Closed-form random-matrix laws for the Fisher ensemble.
 
-Limiting spectral density and support edges of the standard Fisher
+Limiting spectral density, CDF and support edges of the standard Fisher
 matrix, the Gaussian centering/scaling constants of the linear spectral
 statistic tr{(F - I)^2}, the resulting test statistic, and the
 Marchenko-Pastur upper edge used by the baseline detector.
@@ -18,9 +18,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError
-
-#: absolute tolerance of the CDF quadrature
-CDF_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,29 +71,30 @@ def lsd_density(x, params: LsdParams):
     return float(out) if out.ndim == 0 else out
 
 
-def lsd_cdf(x: float, params: LsdParams) -> float:
+def lsd_cdf(x, params: LsdParams):
     """CDF of the Fisher LSD including any point mass at the origin.
 
-    The inverse-square-root edge singularities are removed by the
-    substitution x = a + (b - a) sin^2(theta), which makes the integrand
-    smooth on [0, pi/2].
+    Exact antiderivative of :func:`lsd_density` (1/(x (y1 + y2 x)) in
+    partial fractions, then x = (a+b)/2 - (b-a)/2 cos theta): on [a, b),
+    F = mass_at_zero + (1 - y2)/(pi y1) (A(c) - A(0) - c theta/2) with
+    c = y1/y2 and A(c) = sqrt((a+c)(b+c)) atan2(sqrt(b+c) sin theta,
+    sqrt(a+c) (1 + cos theta)), taken through sin theta / (1 + cos theta)
+    = sqrt((x-a)/(b-x)) for full precision at both edges. Elementwise on
+    an array; a scalar gives a float.
     """
-    if x < 0.0:
-        return 0.0
-    if x >= params.b:
-        return 1.0
-    if x < params.a:
-        return params.mass_at_zero
-    from scipy import integrate  # here, its one user, to keep it off the CLI's import
-    a, b = params.a, params.b
-    theta = math.asin(math.sqrt((x - a) / (b - a)))
+    x = np.asarray(x, dtype=float)
+    a, b, c = params.a, params.b, params.y1 / params.y2
+    u, v = np.sqrt(np.maximum(x - a, 0.0)), np.sqrt(np.maximum(b - x, 0.0))
 
-    def integrand(t):
-        xt = a + (b - a) * math.sin(t) ** 2
-        return lsd_density(xt, params) * (b - a) * 2.0 * math.sin(t) * math.cos(t)
+    def A(k):
+        ra, rb = math.sqrt(a + k), math.sqrt(b + k)
+        return ra * rb * np.arctan2(rb * u, ra * v)
 
-    val, _ = integrate.quad(integrand, 0.0, theta, epsabs=CDF_ATOL, limit=200)
-    return min(1.0, params.mass_at_zero + val)
+    theta = 2.0 * np.arctan2(u, v)
+    bulk = A(c) - A(0.0) - c * theta / 2.0
+    F = params.mass_at_zero + (1.0 - params.y2) / (math.pi * params.y1) * bulk
+    out = np.select([x < 0.0, x < a, x < b], [0.0, params.mass_at_zero, F], 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def clt_constants(

@@ -86,6 +86,20 @@ class CovarianceEvent:
         raise ScenarioError(f"unknown event kind {self.kind!r}")
 
 
+def _check_payload(i: int, event: CovarianceEvent, name: str, shape: tuple):
+    """Refuse event i's field ``name`` when missing, not of ``shape`` or not finite."""
+    value = getattr(event, name)
+    if value is None:
+        raise ScenarioError(f"event {i} ({event.kind}): {name} is missing")
+    if np.shape(value) != shape:
+        raise ScenarioError(
+            f"event {i} ({event.kind}): {name} must have shape {shape}, "
+            f"got {np.shape(value)}"
+        )
+    if not np.all(np.isfinite(value)):
+        raise ScenarioError(f"event {i} ({event.kind}): {name} must be finite")
+
+
 @dataclass(frozen=True)
 class Scenario:
     p: int
@@ -102,7 +116,7 @@ class Scenario:
             raise ScenarioError(f"need p >= 2 and T >= 2, got p={self.p}, T={self.T}")
         if self.seed < 0:
             raise ScenarioError(f"seed must be non-negative, got {self.seed}")
-        for e in self.events:
+        for i, e in enumerate(self.events, 1):
             if not 1 <= e.tau < self.T:
                 raise ScenarioError(f"event time {e.tau} outside [1, T-1]")
             if e.end is not None and not e.tau < e.end <= self.T:
@@ -113,6 +127,12 @@ class Scenario:
                 not 1 <= c <= self.p for c in e.channels
             ):
                 raise ScenarioError("scale-subset channels must lie in [1, p]")
+            if e.kind == "spike":
+                _check_payload(i, e, "direction", (self.p,))
+                if not np.any(e.direction):
+                    raise ScenarioError(f"event {i} (spike): direction is zero")
+            if e.kind == "full-replace":
+                _check_payload(i, e, "matrix", (self.p, self.p))
         if not -1.0 < self.ar1 < 1.0:
             raise ScenarioError(f"ar1={self.ar1} must lie in (-1, 1)")
 

@@ -60,11 +60,10 @@ RESIDUAL_TOL = 3e-12
 SCATTER_DROP = 1e-3
 #: Lanczos for the top Fisher eigenvalue: a Ritz value has converged when
 #: its residual bound is at most LANCZOS_TOL times itself, checked every
-#: LANCZOS_CHECK steps; a window not converged after LANCZOS_STEPS steps
-#: is computed directly
+#: LANCZOS_CHECK steps; a run ends there, at a breakdown, or after p steps,
+#: when the Krylov space is all of R^p
 LANCZOS_TOL = 1e-10
 LANCZOS_CHECK = 3
-LANCZOS_STEPS = 48
 #: a top eigenvalue from Lanczos certifies its flag only when farther from
 #: the edge than its residual bound and than FLAG_MARGIN times itself, which
 #: covers the rounding of M and of the R inner product
@@ -394,12 +393,12 @@ def _lanczos_top(M: np.ndarray, ref: np.ndarray, v: np.ndarray, Q, RQ, a, b):
 
     M (Fortran order) must be self-adjoint in that inner product. Lanczos
     with full reorthogonalization (classical Gram-Schmidt, twice) starts
-    from v. Q and RQ (p x m+1, Fortran order) receive the R-orthonormal
-    Krylov basis and its R-products, a and b (length m) the tridiagonal.
+    from v. Q and RQ (p x p, Fortran order) receive the R-orthonormal
+    Krylov basis and its R-products, a and b (length p) the tridiagonal.
     Returns (theta, rho, y): the largest Ritz value, the R-norm of its
-    residual M y - theta y, and its R-unit Ritz vector; theta is None
-    when m steps did not converge. theta is at most the largest
-    eigenvalue of M, and some eigenvalue of M lies within rho of it.
+    residual M y - theta y, and its R-unit Ritz vector, at convergence,
+    breakdown or step p. theta is at most the largest eigenvalue of M,
+    and some eigenvalue of M lies within rho of it.
     """
     linalg = scipy_linalg()
     gemv, dot, stev = linalg.blas.dgemv, linalg.blas.ddot, linalg.lapack.dstev
@@ -419,20 +418,18 @@ def _lanczos_top(M: np.ndarray, ref: np.ndarray, v: np.ndarray, Q, RQ, a, b):
         a[j] = h[j] + h2[j]
         Rw = gemv(1.0, refT, gemv(1.0, refT, w), trans=1)
         beta = math.sqrt(max(dot(w, Rw), 0.0))
-        # breakdown: M q_j lies in the Krylov space up to rounding, so
-        # that space is invariant and its Ritz values are exact
-        done = beta <= BREAKDOWN * math.sqrt(dot(h, h))
-        if done or j + 1 == m or (j + 1) % LANCZOS_CHECK == 0:
+        # breakdown (M q_j lies in the Krylov space up to rounding, so that
+        # space is invariant and its Ritz values are exact) or step p ends it
+        done = beta <= BREAKDOWN * math.sqrt(dot(h, h)) or j + 1 == m
+        if done or (j + 1) % LANCZOS_CHECK == 0:
             thetas, S, _ = stev(a[: j + 1], b[:j], compute_v=True)
             theta, s = thetas[-1], S[:, -1]
             rho = beta * abs(s[-1])
             if done or rho <= LANCZOS_TOL * theta:
                 return theta, rho, q @ s
-        if j + 1 < m:
-            b[j] = beta
-            np.divide(w, beta, out=Q[:, j + 1])
-            np.divide(Rw, beta, out=RQ[:, j + 1])
-    return None, math.inf, q @ s
+        b[j] = beta
+        np.divide(w, beta, out=Q[:, j + 1])
+        np.divide(Rw, beta, out=RQ[:, j + 1])
 
 
 def sliding_fisher_largest(
@@ -449,18 +446,16 @@ def sliding_fisher_largest(
     The flag ``value > edge`` is certified when |r theta - edge| exceeds
     r max(rho, FLAG_MARGIN theta), the residual bound widened to cover
     the rounding of M and of the R inner product. A window that is not
-    certified, or whose Lanczos run did not converge, is computed
-    directly by :func:`window_spectrum`, and that value is reported. So
-    every flag equals the direct path's, and values agree with it to
-    about 1e-9.
+    certified is computed directly by :func:`window_spectrum`, and that
+    value is reported. So every flag equals the direct path's, and
+    values agree with it to about 1e-9.
     """
     d = d1 + d2
     data = np.asarray(data, dtype=float)
     p = data.shape[0]
     r = (d2 - 1) / (d1 - 1)
-    m = min(p, LANCZOS_STEPS)
-    Q, RQ = np.empty((p, m + 1), order="F"), np.empty((p, m + 1), order="F")
-    a, b = np.empty(m), np.empty(m)
+    Q, RQ = np.empty((p, p), order="F"), np.empty((p, p), order="F")
+    a, b = np.empty(p), np.empty(p)
     kick = np.random.default_rng(1).standard_normal(p)
     kick /= np.linalg.norm(kick)
     y = kick
@@ -468,8 +463,7 @@ def sliding_fisher_largest(
     for k, (M, ref) in enumerate(_fisher_states(data, d1, d2)):
         v = y + WARM_KICK * np.linalg.norm(y) * kick
         theta, rho, y = _lanczos_top(M, ref, v, Q, RQ, a, b)
-        margin = None if theta is None else r * max(rho, FLAG_MARGIN * theta)
-        if margin is not None and abs(r * theta - edge) > margin:
+        if abs(r * theta - edge) > r * max(rho, FLAG_MARGIN * theta):
             values.append(r * theta)
         else:
             window = WindowSplit(k, d2, d1, data[:, k : k + d])

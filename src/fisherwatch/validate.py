@@ -6,6 +6,8 @@ test statistic and the eigenvalue bulk against their limiting laws.
 """
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
 
 from .blas import single_threaded
@@ -36,38 +38,40 @@ def null_statistic_sample(p, n1, n2, reps, seed=0, knob="n2") -> np.ndarray:
     return out
 
 
+def _ks_distance(sample, cdf) -> float:
+    """Kolmogorov-Smirnov distance between a sample's ECDF and a law's ``cdf``."""
+    F = cdf(np.sort(sample))
+    n = len(F)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
+
+
 def null_calibration(p, n1, n2, reps, alpha=0.01, seed=0, knob="n2") -> dict:
     """Empirical mean/sd/size of L plus a KS distance against N(0, 1)."""
-    from scipy import stats  # here, its one user, to keep it off the CLI's import
     Ls = null_statistic_sample(p, n1, n2, reps, seed, knob)
     threshold = rejection_threshold(alpha)
-    ks = stats.kstest(Ls, "norm").statistic
     return {
         "statistic_mean": float(Ls.mean()),
         "statistic_sd": float(Ls.std(ddof=1)),
         "empirical_size": float(np.mean(np.abs(Ls) >= threshold)),
-        "ks_statistic_vs_gaussian": float(ks),
+        "ks_statistic_vs_gaussian": _ks_distance(Ls, np.vectorize(NormalDist().cdf)),
     }
 
 
-def esd_vs_lsd_ks(p, n1, n2=None, seed=0, knob="n2") -> float:
+def esd_vs_lsd_ks(p, n, seed=0, knob="n") -> float:
     """KS distance between one standard Fisher ESD and the limiting CDF.
 
-    A singular denominator, or an n2 too small for the limiting law
-    (p / (n2 - 1) must lie below 1), raises an error that names ``knob``,
-    the setting behind n2 (n1 when n2 is not given).
+    Both blocks hold n samples. A singular denominator, or an n too
+    small for the limiting law (p / (n - 1) must lie below 1), raises an
+    error that names ``knob``, the setting behind n.
     """
-    n2 = n2 if n2 is not None else n1
     rng = np.random.default_rng(seed)
-    S1, S2 = _draw_covariances(rng, p, n1, n2)
-    spec = fisher_eigenvalues(S1, S2, n1, n2, knob=knob)
-    if n2 < p + 2:
-        raise ConfigError(f"{knob} must be at least p + 2 = {p + 2}, got {n2}")
+    S1, S2 = _draw_covariances(rng, p, n, n)
+    spec = fisher_eigenvalues(S1, S2, n, n, knob=knob)
+    if n < p + 2:
+        raise ConfigError(f"{knob} must be at least p + 2 = {p + 2}, got {n}")
     params = support_edges(spec.y_tau, spec.y_T)
-    lam = np.sort(spec.eigenvalues)
-    F = np.array([lsd_cdf(x, params) for x in lam])
-    i = np.arange(1, p + 1)
-    return float(max(np.max(np.abs(i / p - F)), np.max(np.abs((i - 1) / p - F))))
+    return _ks_distance(spec.eigenvalues, lambda x: lsd_cdf(x, params))
 
 
 @single_threaded()

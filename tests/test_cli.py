@@ -201,6 +201,17 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("scenario-error:")
 
+    def test_scenario_event_of_wrong_size(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"p": 4, "T": 100, "events": [
+            {"tau": 10, "kind": "full-replace", "matrix": [[2.0, 0.0], [0.0, 2.0]]},
+        ]}))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario-error: event 1 (full-replace): matrix")
+        assert err.rstrip().count("\n") == 0
+
     def test_shape_error_exit_three(self, tmp_path, capsys):
         # record far too short for any segmentation
         path = tmp_path / "short.csv"
@@ -269,7 +280,8 @@ class TestExitCodes:
 
 
 def test_cli_import_leaves_out_scipy_stats_and_integrate():
-    """screen and detect never use them; validate-null and lsd_cdf load them on call."""
+    """No command uses them: lsd_cdf is closed form and the KS distances are
+    computed in validate, so importing the CLI must not load them either."""
     src = Path(fisherwatch.__file__).resolve().parents[1]
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fisherwatch.cli; "
@@ -308,6 +320,14 @@ def test_cli_import_simulate_and_screen_load_no_scipy(tmp_path, scenario_file):
         ["screen", str(data), "--out-dir", str(tmp_path / "screen")],
     )
     assert stages == [[], [], []]
+
+
+def test_validate_null_loads_no_scipy_stats_integrate_or_special(tmp_path):
+    argv = ["validate-null", "--reps", "100", "--p", "10", "--n1", "30", "--n2", "30",
+            "--esd-p", "10", "--esd-n", "40", "--out-dir", str(tmp_path)]
+    loaded = scipy_modules_after(argv)[-1]
+    for module in ("scipy.stats", "scipy.integrate", "scipy.special"):
+        assert module not in loaded
 
 
 @pytest.mark.parametrize("method", METHODS)

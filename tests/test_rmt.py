@@ -31,6 +31,43 @@ CLT_01 = {
 DENSITY_AT_ONE_HALF = 0.27566444771089602
 Q_995 = 2.575829303548901
 Q_975 = 1.959963984540054
+# F at a + f (b - a), f in CDF_FRACTIONS, by 30-digit mpmath quadrature of
+# the density (agreeing with a 40-digit run to 1e-25)
+CDF_FRACTIONS = (1e-9, 0.3, 0.7, 1 - 1e-9)
+CDF_30 = {
+    (0.2, 0.1): (3.313339487533226e-13, 0.5511725610366901,
+                 0.9085607841179966, 0.9999999999999853),
+    (0.2, 0.5): (4.203963121939217e-12, 0.851110007085292,
+                 0.9779384734954445, 0.9999999999999969),
+    (0.2, 0.957): (1.1254534863795207e-08, 0.9923329525774167,
+                   0.9989274626837911, 0.9999999999999999),
+    (0.9, 0.1): (2.8419436301796247e-11, 0.6887208198350193,
+                 0.9362429572601985, 0.9999999999999897),
+    (0.9, 0.5): (1.7651972556699934e-10, 0.8636440908418564,
+                 0.9791313310668208, 0.999999999999997),
+    (0.9, 0.957): (2.972170726962392e-07, 0.9923361156826394,
+                   0.998927711890384, 0.9999999999999999),
+    (1.06, 0.1): (0.05660377366844129, 0.7098836677023893,
+                  0.9401657887074435, 0.9999999999999902),
+    (1.06, 0.5): (0.05660377405532338, 0.8670328860229919,
+                  0.9794640210639869, 0.999999999999997),
+    (1.06, 0.957): (0.05660448249916817, 0.9923373735397024,
+                    0.9989278110132804, 0.9999999999999999),
+    (1.5, 0.1): (0.333333333334712, 0.7558424307814053,
+                 0.9485830918625239, 0.9999999999999916),
+    (1.5, 0.5): (0.3333333333396384, 0.8761799213189515,
+                 0.9803856207995079, 0.9999999999999971),
+    (1.5, 0.957): (0.33333334048698915, 0.9923418000517369,
+                   0.9989281599356699, 0.9999999999999999),
+    (3.0, 0.1): (0.6666666666667872, 0.841654166072156,
+                 0.9644544499870652, 0.999999999999994),
+    (3.0, 0.5): (0.666666666667041, 0.9017682143351721,
+                 0.9831746350888462, 0.9999999999999974),
+    (3.0, 0.957): (0.6666666668617925, 0.9923665955822077,
+                   0.998930117342659, 0.9999999999999999),
+}
+# a point where the former quadrature was 3.6e-7 off
+CDF_REGRESSION = (1.06, 0.2, 4.639604437857843, 0.9594829110022115)
 
 
 def integrate_density(params):
@@ -126,6 +163,26 @@ class TestLsdCdf:
     def test_negative_argument(self):
         params = support_edges(2.0, 0.4)
         assert lsd_cdf(-0.1, params) == 0.0
+
+    @pytest.mark.parametrize("y1, y2", CDF_30)
+    def test_frozen_values(self, y1, y2):
+        params = support_edges(y1, y2)
+        for f, want in zip(CDF_FRACTIONS, CDF_30[y1, y2]):
+            x = params.a + f * (params.b - params.a)
+            assert lsd_cdf(x, params) == pytest.approx(want, abs=1e-10), f
+
+    def test_regression_point(self):
+        y1, y2, x, want = CDF_REGRESSION
+        assert lsd_cdf(x, support_edges(y1, y2)) == pytest.approx(want, abs=1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        params = support_edges(2.0, 0.4)
+        xs = np.linspace(-0.5, params.b + 0.5, 41)
+        vals = lsd_cdf(xs, params)
+        assert vals.shape == xs.shape
+        scalars = [lsd_cdf(x, params) for x in xs]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(vals, scalars)
 
 
 class TestCltConstants:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,32 @@ class TestScenarioValidation:
         # numpy's own refusal named no setting
         with pytest.raises(ScenarioError, match="seed"):
             Scenario(p=4, T=100, seed=-2)
+
+    # refused up front, naming the event and its field, rather than later
+    # as a NaN covariance or a numpy broadcasting error
+    @pytest.mark.parametrize("event, message", [
+        pytest.param(dict(kind="spike"), "(spike): direction is missing",
+                     id="spike-missing"),
+        pytest.param(dict(kind="spike", direction=(1.0, 0.0)),
+                     "(spike): direction must have shape (4,), got (2,)",
+                     id="spike-wrong-length"),
+        pytest.param(dict(kind="spike", direction=(0.0,) * 4),
+                     "(spike): direction is zero", id="spike-zero"),
+        pytest.param(dict(kind="spike", direction=(1.0, np.inf, 0.0, 0.0)),
+                     "(spike): direction must be finite", id="spike-infinite"),
+        pytest.param(dict(kind="full-replace"), "(full-replace): matrix is missing",
+                     id="replace-missing"),
+        pytest.param(dict(kind="full-replace", matrix=np.eye(2)),
+                     "(full-replace): matrix must have shape (4, 4), got (2, 2)",
+                     id="replace-wrong-shape"),
+        pytest.param(dict(kind="full-replace", matrix=np.diag([1.0, 1.0, 1.0, np.inf])),
+                     "(full-replace): matrix must be finite", id="replace-infinite"),
+    ])
+    def test_event_payload(self, event, message):
+        events = (CovarianceEvent(tau=5, kind="scale-subset", channels=(1,)),
+                  CovarianceEvent(tau=10, **event))
+        with pytest.raises(ScenarioError, match=re.escape(f"event 2 {message}")):
+            Scenario(p=4, T=100, events=events)
 
 
 class TestGenerate:

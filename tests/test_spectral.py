@@ -343,12 +343,21 @@ class TestSlidingFisherLargest:
         assert fast[k] == direct[k]
         assert not fast[k] > direct[k]  # the flag the direct path gives
 
-    def test_unconverged_windows_take_the_direct_path(self, monkeypatch, direct_windows):
-        monkeypatch.setattr(spectral, "LANCZOS_STEPS", 2)  # the cap, far too low
+    @pytest.mark.parametrize("d1", [10, 30])
+    def test_runs_to_breakdown_or_p_steps_stay_certified(
+        self, monkeypatch, direct_windows, d1
+    ):
+        # no Ritz value ever counts as converged, so every run ends at a
+        # breakdown (d1 = 10: the probe scatter has rank 9 < p) or after
+        # p steps (d1 = 30), and its last Ritz pair must still certify
+        monkeypatch.setattr(spectral, "LANCZOS_TOL", 0.0)
         data = np.random.default_rng(15).standard_normal((20, 60))
-        fast = sliding_fisher_largest(data, 10, 30, 1.0)
-        assert direct_windows == list(range(21))
-        assert np.array_equal(fast, direct_largest(data, 10, 30))
+        edge = 25.0  # splits the d1 = 10 values, 17.0-45.4
+        direct = direct_largest(data, d1, 30)
+        fast = sliding_fisher_largest(data, d1, 30, edge)
+        assert direct_windows == []
+        assert np.max(np.abs(fast - direct)) < 1e-8
+        assert np.array_equal(fast > edge, direct > edge)
 
     @pytest.mark.parametrize("p", [5, 60])
     def test_too_short(self, p):
