@@ -1,4 +1,4 @@
-"""Single-threaded BLAS for the per-window kernels, and scipy on demand.
+"""Single-threaded BLAS for the per-window kernels, and scipy's on demand.
 
 Every product on the hot path is p x p or p x d with p in the tens to
 low hundreds. At that size OpenBLAS's worker threads cost more in
@@ -6,19 +6,24 @@ wake-up and hand-off than they save: with two threads a localization
 run spends most of its wall time in thread synchronization. numpy and
 scipy each bundle their own OpenBLAS, so both pools are pinned.
 
-The screen and ``simulate`` need numpy alone, so nothing here imports
-scipy until an engine asks for it through :func:`scipy_linalg`. Its pool
-is pinned from then on: by the next block to enter, or at once when the
-first load falls inside an open block.
+The screen and ``simulate`` need numpy alone, so nothing here loads
+scipy until an engine asks for it through :func:`scipy_blas_lapack`.
+That loads only scipy's two compiled BLAS and LAPACK wrapper modules,
+never the ``scipy.linalg`` package, whose import pulls in hundreds of
+modules the engines do not use. This is the one module that knows
+scipy. Its pool is pinned from then on: by the next block to enter, or
+at once when the first load falls inside an open block.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
-import importlib
+import importlib.machinery
+import importlib.util
 import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 #: the extension module that links scipy's bundled OpenBLAS
 _SCIPY_BLAS = "scipy.linalg._fblas"
@@ -87,15 +92,50 @@ def single_threaded():
                 _saved.clear()
 
 
-@functools.cache
-def scipy_linalg():
-    """``scipy.linalg``, imported on the first call.
+def _extension(name: str, directory: Path):
+    """The compiled module ``name`` from its file in ``directory``.
 
-    A first call inside an open :func:`single_threaded` block pins scipy's
-    pool at once, and the last block to exit restores it.
+    A module already in ``sys.modules`` is reused; a new one is
+    registered there, so a later ``import scipy.linalg`` re-exports this
+    same module instead of loading a second copy.
     """
-    import scipy.linalg
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = name.rpartition(".")[2]
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    for suffix in suffixes:
+        path = directory / (stem + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"{name}: no file {stem}{{{','.join(suffixes)}}} in {directory}",
+                          name=name)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+@functools.cache
+def scipy_blas_lapack():
+    """(fblas, flapack): scipy's compiled BLAS and LAPACK wrappers.
+
+    Loaded on the first call from their files in scipy's ``linalg``
+    directory. These are the f2py modules that ``scipy.linalg.blas`` and
+    ``scipy.linalg.lapack`` re-export, so ``fblas.dger`` is
+    ``scipy.linalg.blas.dger``; the ``scipy.linalg`` package itself is
+    not imported. A missing file raises :class:`ImportError` naming it.
+    A first call inside an open :func:`single_threaded` block pins
+    scipy's pool at once, and the last block to exit restores it.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed", name="scipy")
+    directory = Path(spec.submodule_search_locations[0], "linalg")
     with _lock:
+        modules = tuple(_extension(name, directory)
+                        for name in (_SCIPY_BLAS, "scipy.linalg._flapack"))
         if _depth:
             _pin_unsaved()
-    return scipy.linalg
+    return modules

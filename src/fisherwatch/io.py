@@ -100,11 +100,19 @@ def parse_config(doc) -> DetectionConfig:
     return DetectionConfig(**doc)
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a ragged or non-numeric one is refused by ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} must be a rectangular array of numbers") from exc
+
+
 def parse_scenario(doc: dict) -> Scenario:
     try:
         base = doc.get("base_cov", {"kind": "identity"})
         events = []
-        for e in doc.get("events", []):
+        for i, e in enumerate(doc.get("events", []), 1):
             events.append(
                 CovarianceEvent(
                     tau=int(e["tau"]),
@@ -118,7 +126,7 @@ def parse_scenario(doc: dict) -> Scenario:
                     ),
                     strength=float(e.get("strength", 0.0)),
                     matrix=(
-                        np.asarray(e["matrix"], dtype=float)
+                        _float_array(e["matrix"], f"event {i} ({e['kind']}): matrix")
                         if e.get("matrix") is not None
                         else None
                     ),
@@ -127,7 +135,7 @@ def parse_scenario(doc: dict) -> Scenario:
             )
         params = {k: v for k, v in base.items() if k != "kind"}
         if "matrix" in params:
-            params["matrix"] = np.asarray(params["matrix"], dtype=float)
+            params["matrix"] = _float_array(params["matrix"], "base_cov.matrix")
         return Scenario(
             p=int(doc["p"]),
             T=int(doc["T"]),

@@ -39,19 +39,20 @@ def sample_spd(kind: str, p: int, params: Optional[dict] = None) -> np.ndarray:
         M = np.asarray(params.get("matrix"), dtype=float)
         if M.shape != (p, p):
             raise ScenarioError(f"explicit covariance must be {p}x{p}, got {M.shape}")
-        _check_spd(M)
+        _check_spd(M, "base_cov.matrix")
         return M
     raise ScenarioError(f"unknown covariance recipe {kind!r}")
 
 
-def _check_spd(M: np.ndarray):
+def _check_spd(M: np.ndarray, name: str):
+    """Refuse the covariance ``name`` unless finite, symmetric and positive definite."""
+    if not np.all(np.isfinite(M)):
+        raise ScenarioError(f"{name} must be finite")
     if not np.allclose(M, M.T, atol=1e-12):
-        raise ScenarioError("covariance specification is not symmetric")
+        raise ScenarioError(f"{name} is not symmetric")
     min_eig = float(np.linalg.eigvalsh(M)[0])
     if min_eig <= SPD_MIN_EIG:
-        raise ScenarioError(
-            f"covariance specification is not positive definite (min eig {min_eig:.3e})"
-        )
+        raise ScenarioError(f"{name} is not positive definite (min eig {min_eig:.3e})")
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def generate(scenario: Scenario) -> tuple[StateMatrix, dict]:
     prev_col = None
     for lo, hi in zip(cuts, cuts[1:]):  # regime covers samples lo+1 .. hi
         cov = _cov_at(scenario, lo + 1)
-        _check_spd(cov)
+        _check_spd(cov, f"covariance of samples {lo + 1}-{hi}")
         chol = np.linalg.cholesky(cov)
         block = chol @ rng.standard_normal((p, hi - lo))
         if scenario.ar1 != 0.0:

@@ -22,9 +22,11 @@ updates, so it raises the direct path's errors at the same windows.
 
 The screen's kernels (:func:`fisher_trace_sq_dev` and what it calls)
 run on numpy alone, so ``screen`` loads no scipy. The engines and
-:func:`fisher_eigenvalues` take scipy's BLAS and LAPACK wrappers from
-:func:`~fisherwatch.blas.scipy_linalg`, which imports ``scipy.linalg``
-on first use and pins its pool then.
+:func:`fisher_eigenvalues` call scipy's f2py BLAS and LAPACK wrappers
+(``dger``, ``dgemv``, ``ddot``, ``dpotri``, ``dstev``, ``dsyevx``,
+``dsygvd``) from :func:`~fisherwatch.blas.scipy_blas_lapack`, which
+loads those two compiled modules, not the ``scipy.linalg`` package, on
+first use and pins their pool then.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import scipy_linalg
+from .blas import scipy_blas_lapack
 from .errors import (
     DegenerateChannelError,
     FisherwatchError,
@@ -190,7 +192,13 @@ def fisher_eigenvalues(
     if S1.shape != (p, p) or S2.shape != (p, p):
         raise ShapeError("covariances must be square and equally sized")
     _cholesky_spd(S2, context, knob)
-    lam = scipy_linalg().eigh(S1, S2, eigvals_only=True, check_finite=False)
+    # the LAPACK routine that scipy.linalg.eigh(S1, S2, eigvals_only=True) calls
+    lam, _, info = scipy_blas_lapack()[1].dsygvd(S1, S2, itype=1, jobz="N", uplo="L")
+    if info != 0:
+        where = f" ({context})" if context else ""
+        raise FisherwatchError(
+            f"generalized eigenvalues not found{where}: dsygvd returned info={info}"
+        )
     lam = np.where(np.abs(lam) < 1e-12, 0.0, lam)[::-1].copy()
     return FisherSpectrum(
         eigenvalues=lam,
@@ -295,8 +303,8 @@ def _fisher_states(data, d1: int, d2: int):
     p = data.shape[0]
     r = (d2 - 1) / (d1 - 1)
     probes = np.random.default_rng(0).standard_normal((p, 2))
-    linalg = scipy_linalg()
-    ger = linalg.blas.dger
+    fblas, flapack = scipy_blas_lapack()
+    ger = fblas.dger
 
     def refresh(k: int):
         """B, M, the two block means and ref of window k, computed directly."""
@@ -306,7 +314,7 @@ def _fisher_states(data, d1: int, d2: int):
         L = _cholesky_spd(S_ref, ctx)
         # S_ref^-1 from its factor: potri fills the lower triangle, and the
         # pivot floor of _cholesky_spd leaves it no zero pivot to report
-        S_inv = linalg.lapack.dpotri(L, lower=1)[0]
+        S_inv = flapack.dpotri(L, lower=1)[0]
         S_inv = np.tril(S_inv) + np.tril(S_inv, -1).T
         # the normalized columns are the scaled ones times D
         D = sd / cols.std(axis=1, ddof=1)
@@ -400,8 +408,8 @@ def _lanczos_top(M: np.ndarray, ref: np.ndarray, v: np.ndarray, Q, RQ, a, b):
     breakdown or step p. theta is at most the largest eigenvalue of M,
     and some eigenvalue of M lies within rho of it.
     """
-    linalg = scipy_linalg()
-    gemv, dot, stev = linalg.blas.dgemv, linalg.blas.ddot, linalg.lapack.dstev
+    fblas, flapack = scipy_blas_lapack()
+    gemv, dot, stev = fblas.dgemv, fblas.ddot, flapack.dstev
     refT = ref.T  # Fortran order, so BLAS takes it without a copy
     Rv = gemv(1.0, refT, gemv(1.0, refT, v), trans=1)
     norm = math.sqrt(dot(v, Rv))
@@ -491,8 +499,8 @@ def sliding_correlation_largest(data: np.ndarray, d: int) -> np.ndarray:
     """
     data, Z, _, stuck = _scaled_interval(data, d)
     p = data.shape[0]
-    linalg = scipy_linalg()
-    ger, syevx = linalg.blas.dger, linalg.lapack.dsyevx
+    fblas, flapack = scipy_blas_lapack()
+    ger, syevx = fblas.dger, flapack.dsyevx
 
     def refresh(k: int):
         """Scatter, mean and peak diagonal of window k, computed directly."""

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -70,10 +72,11 @@ def test_overlapping_threads_stay_pinned(two_threads):
 
 # Run in a fresh interpreter, so scipy is not loaded when localize enters
 # its block: numpy's pool starts at two threads, and so does scipy's, the
-# moment its BLAS module loads. The spies read both pools inside the engine:
-# at each top-eigenvalue solve (mp) or each Fisher state (dele, deht).
+# moment the loader brings in its BLAS module. The spies read both pools
+# inside the engine: at each top-eigenvalue solve (mp) or each Fisher
+# state (dele, deht).
 PINNED_SCRIPT = """
-import importlib.abc, importlib.util, json, sys
+import json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from fisherwatch import blas, io, spectral
@@ -81,18 +84,12 @@ from fisherwatch.core import DetectionConfig
 from fisherwatch.detect import localize
 from fisherwatch.simgen import generate
 
-class StartAtTwo(importlib.abc.MetaPathFinder):
-    def find_spec(self, name, path, target=None):
-        if name != blas._SCIPY_BLAS:
-            return None
-        sys.meta_path.remove(self)
-        spec = importlib.util.find_spec(name)
-        exec_module = spec.loader.exec_module
-        def exec_and_start_at_two(module):
-            exec_module(module)
-            blas._pool(name, "")[1](2)
-        spec.loader.exec_module = exec_and_start_at_two
-        return spec
+extension = blas._extension
+def extension_starting_at_two(name, directory):
+    module = extension(name, directory)
+    if name == blas._SCIPY_BLAS:
+        blas._pool(name, "")[1](2)
+    return module
 
 def counts():
     return [get() for get, _ in blas._pools()]
@@ -102,18 +99,18 @@ inside = []
 method = sys.argv[2]
 if method == "mp":
     # on its first call, the engine's loader wraps the LAPACK routine that
-    # the engine then fetches from the freshly loaded scipy.linalg
-    load = spectral.scipy_linalg
+    # the engine then fetches from the freshly loaded module
+    load = spectral.scipy_blas_lapack
     def load_and_spy():
-        linalg = load()
-        dsyevx = linalg.lapack.dsyevx
+        fblas, flapack = load()
+        dsyevx = flapack.dsyevx
         def spy(*args, **kwargs):
             inside.append(counts())
             return dsyevx(*args, **kwargs)
-        linalg.lapack.dsyevx = spy
-        spectral.scipy_linalg = load
-        return linalg
-    spectral.scipy_linalg = load_and_spy
+        flapack.dsyevx = spy
+        spectral.scipy_blas_lapack = load
+        return fblas, flapack
+    spectral.scipy_blas_lapack = load_and_spy
 else:
     states = spectral._fisher_states
     def spy(*args):
@@ -122,10 +119,10 @@ else:
             yield state
     spectral._fisher_states = spy
 
-assert "scipy" not in sys.modules
+assert not any(m.startswith("scipy") for m in sys.modules)
 for _, set_ in blas._pools():
     set_(2)
-sys.meta_path.insert(0, StartAtTwo())
+blas._extension = extension_starting_at_two
 localize(X, DetectionConfig(), method=method)
 print(json.dumps({"inside": inside, "after": counts()}))
 """
@@ -146,3 +143,59 @@ def test_engine_pins_scipy_pool_that_loads_inside_the_block(method):
     seen = json.loads(out.stdout)
     assert seen["inside"] and all(c == [1, 1] for c in seen["inside"]), seen["inside"][:3]
     assert seen["after"] == [2, 2]
+
+
+# The loader's modules must be the ones scipy.linalg re-exports, or a
+# later import of scipy.linalg would load a second copy of each.
+SAME_MODULES_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from fisherwatch.blas import scipy_blas_lapack
+fblas, flapack = scipy_blas_lapack()
+before = sorted(m for m in sys.modules if m.startswith("scipy"))
+import scipy.linalg
+routines = [(fblas, scipy.linalg.blas, name) for name in ("dger", "dgemv", "ddot")]
+routines += [(flapack, scipy.linalg.lapack, name)
+             for name in ("dpotri", "dstev", "dsyevx", "dsygvd")]
+copies = [name for loaded, package, name in routines
+          if getattr(loaded, name) is not getattr(package, name)]
+print(json.dumps({"before": before, "copies": copies}))
+"""
+
+
+def test_later_scipy_linalg_import_reuses_the_loaded_modules():
+    src = Path(fisherwatch.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", SAME_MODULES_SCRIPT, str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(out.stdout)
+    assert seen["before"] == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+    assert seen["copies"] == []
+
+
+def test_missing_extension_file_names_it(tmp_path):
+    name = "scipy.linalg._fblas_missing"
+    with pytest.raises(ImportError, match=rf"^{re.escape(name)}: no file _fblas_missing\{{"):
+        blas._extension(name, tmp_path)
+
+
+def scipy_imports(path):
+    """The scipy modules that the import statements of ``path`` name."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+
+
+def test_only_blas_knows_scipy_and_never_imports_scipy_linalg():
+    package = Path(fisherwatch.__file__).parent
+    found = {str(path.relative_to(package)): scipy_imports(path)
+             for path in package.rglob("*.py")}
+    assert "blas.py" in found
+    assert {name: mods for name, mods in found.items() if mods and name != "blas.py"} == {}
+    assert [m for m in found["blas.py"]
+            if m == "scipy.linalg" or m.startswith("scipy.linalg.")] == []

@@ -212,6 +212,31 @@ class TestExitCodes:
         assert err.startswith("scenario-error: event 1 (full-replace): matrix")
         assert err.rstrip().count("\n") == 0
 
+    def test_infinite_base_covariance(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"p": 2, "T": 100, "base_cov": {"kind": "matrix", '
+                        '"matrix": [[1, 0], [0, 1e400]]}}')
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "scenario-error: base_cov.matrix must be finite\n"
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"p": 2, "T": 100, "events": [
+            {"tau": 10, "kind": "scale-subset", "channels": [1], "factor": 2.0},
+            {"tau": 20, "kind": "full-replace", "matrix": [[1, 0], [0]]}]},
+         "event 2 (full-replace): matrix"),
+        ({"p": 2, "T": 100, "base_cov": {"kind": "matrix", "matrix": [[1, 0], [0]]}},
+         "base_cov.matrix"),
+    ], ids=["event", "base-cov"])
+    def test_ragged_scenario_matrix(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"scenario-error: {field} must be a rectangular array of numbers\n"
+
     def test_shape_error_exit_three(self, tmp_path, capsys):
         # record far too short for any segmentation
         path = tmp_path / "short.csv"
@@ -322,17 +347,17 @@ def test_cli_import_simulate_and_screen_load_no_scipy(tmp_path, scenario_file):
     assert stages == [[], [], []]
 
 
+#: the scipy modules an engine loads: its compiled BLAS and LAPACK wrappers
+SCIPY_BLAS_LAPACK = ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+
+
 def test_validate_null_loads_no_scipy_stats_integrate_or_special(tmp_path):
     argv = ["validate-null", "--reps", "100", "--p", "10", "--n1", "30", "--n2", "30",
             "--esd-p", "10", "--esd-n", "40", "--out-dir", str(tmp_path)]
-    loaded = scipy_modules_after(argv)[-1]
-    for module in ("scipy.stats", "scipy.integrate", "scipy.special"):
-        assert module not in loaded
+    assert scipy_modules_after(argv)[-1] == SCIPY_BLAS_LAPACK
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_detect_loads_scipy_linalg_but_not_special(tmp_path, data_file, method):
+def test_detect_loads_only_scipy_blas_and_lapack(tmp_path, data_file, method):
     argv = ["detect", str(data_file), "--method", method, "--out-dir", str(tmp_path)]
-    loaded = scipy_modules_after(argv)[-1]
-    assert "scipy.linalg" in loaded
-    assert "scipy.special" not in loaded
+    assert scipy_modules_after(argv)[-1] == SCIPY_BLAS_LAPACK

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,15 @@ class TestScenarioValidation:
                   CovarianceEvent(tau=10, **event))
         with pytest.raises(ScenarioError, match=re.escape(f"event 2 {message}")):
             Scenario(p=4, T=100, events=events)
+
+    def test_infinite_base_covariance(self):
+        # refused by name, before generate's draw overflows with a warning
+        scenario = Scenario(p=2, T=100, base_cov_kind="matrix",
+                            base_cov_params={"matrix": np.diag([1.0, np.inf])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match=r"^base_cov\.matrix must be finite$"):
+                generate(scenario)
 
 
 class TestGenerate:

@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fisherwatch import spectral
-from fisherwatch.blas import scipy_linalg, single_threaded
+from fisherwatch.blas import scipy_blas_lapack, single_threaded
 from fisherwatch.errors import (
     DegenerateChannelError,
     FisherwatchError,
@@ -167,6 +169,31 @@ class TestFisherEigenvalues:
         assert spec.y_tau == pytest.approx(4 / 8)
         assert spec.y_T == pytest.approx(4 / 16)
 
+    @pytest.mark.parametrize("p", [5, 40, 80, 200])
+    def test_equals_scipy_eigh_bit_for_bit(self, p):
+        # scipy as the oracle: eigh calls the same LAPACK routine
+        rng = np.random.default_rng([21, p])
+        for n in (p // 2 + 1, p + 1, 2 * p, 3 * p, 5 * p):  # S1 rank-deficient first
+            S1 = sample_covariance(rng.standard_normal((p, n)))
+            S2 = sample_covariance(rng.standard_normal((p, 3 * p)))
+            lam = scipy.linalg.eigh(S1, S2, eigvals_only=True, check_finite=False)
+            expected = np.where(np.abs(lam) < 1e-12, 0.0, lam)[::-1]
+            assert np.array_equal(fisher_eigenvalues(S1, S2, n, 3 * p).eigenvalues, expected)
+
+    @pytest.mark.parametrize("info", [1, 7])
+    def test_failed_generalized_solve_raises(self, monkeypatch, info):
+        lapack = scipy_blas_lapack()[1]
+        dsygvd = lapack.dsygvd
+
+        def failing(*args, **kwargs):
+            w, v, _ = dsygvd(*args, **kwargs)
+            return w, v, info
+
+        monkeypatch.setattr(lapack, "dsygvd", failing)
+        rng = np.random.default_rng(22)
+        with pytest.raises(FisherwatchError, match=rf"\(window 3\): dsygvd returned info={info}"):
+            fisher_eigenvalues(random_spd(rng, 6), random_spd(rng, 6), 10, 10, "window 3")
+
 
 class TestWindowSpectrum:
     def make_window(self, rng, p=5, n1=12, n2=8):
@@ -258,6 +285,34 @@ def oracle_case(p, kind):
     return d1, d2, oracle_stream(kind, p, W, np.random.default_rng([p, STREAMS.index(kind)]))
 
 
+def exact_ints(A):
+    """(N, K): an object array of Python ints with A == N / 2**K exactly."""
+    ratios = [x.as_integer_ratio() for x in np.ravel(A).tolist()]
+    K = max(den.bit_length() - 1 for _, den in ratios)
+    N = [num << (K - den.bit_length() + 1) for num, den in ratios]
+    return np.array(N, dtype=object).reshape(np.shape(A)), K
+
+
+def high_precision_trace(S1, S2):
+    """tr{(S2^-1 S1 - I)^2} to far below the float64 kernels' errors.
+
+    X = S2^-1 S1 by one float64 solve is refined once by a solve against
+    its residual S1 - S2 X, computed exactly in integers; the trace of
+    (X - I)^2 is summed in 40-digit mpmath. On the oracle windows this
+    agrees with a 40-digit mpmath solve to 4e-17 relative or better (at
+    cond(S2) = 5e8); the mpmath solve costs seconds per window at p=80.
+    """
+    X = np.linalg.solve(S2, S1)
+    (N1, K1), (N2, K2), (NX, KX) = exact_ints(S1), exact_ints(S2), exact_ints(X)
+    K = max(K1, K2 + KX)
+    R = N1 * (1 << (K - K1)) - N2.dot(NX) * (1 << (K - K2 - KX))
+    dX = np.linalg.solve(S2, np.array([r / (1 << K) for r in R.ravel()]).reshape(R.shape))
+    p = len(X)
+    with mpmath.workdps(40):
+        Y = [[mpmath.mpf(X[i, j]) + dX[i, j] - (i == j) for j in range(p)] for i in range(p)]
+        return mpmath.fsum(Y[i][j] * Y[j][i] for i in range(p) for j in range(p))
+
+
 class TestSlidingTraceSqDev:
     @pytest.mark.parametrize("kind", STREAMS)
     @pytest.mark.parametrize("p", [5, 20, 80])
@@ -269,6 +324,25 @@ class TestSlidingTraceSqDev:
             fast = sliding_trace_sq_dev(data, d1, d2)
         assert fast.shape == direct.shape == (W - d1 - d2 + 1,)
         assert np.max(np.abs(fast - direct) / np.abs(direct)) < 1e-10
+
+    @pytest.mark.parametrize("kind", STREAMS)
+    @pytest.mark.parametrize("p", [20, 80])
+    def test_accurate_to_the_conditioning_of_the_reference(self, p, kind):
+        # against a high-precision value rather than the direct path: each
+        # relative error within 100 eps cond(S_ref); the worst ratios
+        # measured are 28 for the engine (drop stream, p=20, window 233)
+        # and 0.11 for the direct path
+        d1, d2, data = oracle_case(p, kind)
+        d = d1 + d2
+        with single_threaded():
+            fast = sliding_trace_sq_dev(data, d1, d2)
+        # the most updates since a refresh, the middle, the last window
+        for k in (REFRESH - 1, len(fast) // 2, len(fast) - 1):
+            S_probe, S_ref = window_covariances(WindowSplit(k, d2, d1, data[:, k : k + d]))
+            exact = high_precision_trace(S_probe, S_ref)
+            bound = 100 * np.finfo(float).eps * np.linalg.cond(S_ref) * abs(exact)
+            for value in (fisher_trace_sq_dev(S_probe, S_ref), fast[k]):
+                assert abs(value - exact) <= bound, (k, value, exact)
 
     def test_too_short(self):
         with pytest.raises(RecordTooShortError):
@@ -423,7 +497,7 @@ class TestSlidingCorrelationLargest:
 
     @pytest.mark.parametrize("info, m", [(1, 1), (0, 0)])
     def test_failed_top_eigenvalue_solve_raises(self, monkeypatch, info, m):
-        lapack = scipy_linalg().lapack
+        lapack = scipy_blas_lapack()[1]
         dsyevx, calls = lapack.dsyevx, []
 
         def failing_on_fifth_call(*args, **kwargs):
