@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io
 from .core import DetectionConfig, validate_config
-from .detect import METHODS, localize
+from .detect import METHODS, localize, scan_workers
 from .errors import ConfigError, FisherwatchError, ShapeError
 from .screening import screen
 from .simgen import generate
@@ -155,6 +155,7 @@ def cmd_bench(args) -> int:
         {
             "schema_version": io.SCHEMA_VERSION,
             "repeats": args.repeats,
+            "workers": scan_workers(),
             "timings": timings,
         },
     )

@@ -22,16 +22,28 @@ of building every window.
 
 A fault is declared only after s consecutive flagged windows; the
 declared time is the last column of the window completing the run.
+
+Each interval's windows are scanned as jobs of BLOCK consecutive
+windows, and one call runs all of its jobs in one batch: in-process
+when there is one job or one CPU, otherwise on one forked worker
+process per CPU (at most one per job). The jobs are the same whatever
+the number of workers, so no value, flag or error depends on it. A job
+opens with a window computed directly, which the engines do every
+REFRESH windows anyway.
 """
 from __future__ import annotations
 
 import functools
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .blas import single_threaded
+from .blas import scipy_blas_lapack, single_threaded
 from .core import (
     DetectionConfig,
     DetectionRecord,
@@ -39,6 +51,7 @@ from .core import (
     StateMatrix,
     validate_config,
 )
+from .errors import FisherwatchError
 from .rmt import (
     clt_constants,
     mp_upper_edge,
@@ -48,12 +61,16 @@ from .rmt import (
 )
 from .screening import screen
 from .spectral import (
+    REFRESH,
     sliding_correlation_largest,
     sliding_fisher_largest,
     sliding_trace_sq_dev,
 )
 
 METHODS = ("dele", "deht", "mp")
+#: windows per scan job: a multiple of REFRESH, so that where no engine
+#: guard trips, a job opens where the serial engine would refresh anyway
+BLOCK = 2 * REFRESH
 
 
 @dataclass(frozen=True)
@@ -79,37 +96,159 @@ def run_rule(flags, s: int) -> Optional[int]:
     return None
 
 
-def _dele(data: np.ndarray, cfg: DetectionConfig):
+def _dele(p: int, cfg: DetectionConfig):
     """Largest Fisher eigenvalue against the support edge b."""
-    p = data.shape[0]
     b = support_edges(p / (cfg.d1 - 1), p / (cfg.d2 - 1)).b
-    return b, sliding_fisher_largest(data, cfg.d1, cfg.d2, b)
+    return b, functools.partial(sliding_fisher_largest, d1=cfg.d1, d2=cfg.d2, edge=b)
 
 
-def _deht(data: np.ndarray, cfg: DetectionConfig):
+def _deht(p: int, cfg: DetectionConfig):
     """|L| from the sliding trace engine; no eigendecomposition per window."""
-    p = data.shape[0]
     consts = clt_constants(
         p / (cfg.d1 - 1), p / (cfg.d2 - 1), cfg.kappa, cfg.beta1, cfg.beta2
     )
-    traces = sliding_trace_sq_dev(data, cfg.d1, cfg.d2)
-    return rejection_threshold(cfg.alpha), np.abs(statistic_value(traces, p, consts))
+
+    def values(data, first, stop):
+        traces = sliding_trace_sq_dev(data, cfg.d1, cfg.d2, first, stop)
+        return np.abs(statistic_value(traces, p, consts))
+
+    return rejection_threshold(cfg.alpha), values
 
 
-def _mp(data: np.ndarray, cfg: DetectionConfig):
+def _mp(p: int, cfg: DetectionConfig):
     """Largest eigenvalue of the whole window's correlation matrix: no split."""
-    edge = mp_upper_edge(data.shape[0] / (cfg.d - 1))
-    return edge, sliding_correlation_largest(data, cfg.d)
+    edge = mp_upper_edge(p / (cfg.d - 1))
+    return edge, functools.partial(sliding_correlation_largest, d=cfg.d)
 
 
-#: method -> (values_of, comparison). ``values_of(data, cfg)`` returns the
-#: interval's threshold and its per-window values; a window is flagged
+#: method -> (rule, comparison). ``rule(p, cfg)`` returns the threshold,
+#: which depends only on (p, cfg), and ``values(data, first=, stop=)``,
+#: the values of an interval's windows first..stop-1; a window is flagged
 #: when ``comparison(value, threshold)`` holds.
 _RULES = {
     "dele": (_dele, np.greater),
     "deht": (_deht, np.greater_equal),
     "mp": (_mp, np.greater),
 }
+
+
+def scan_workers() -> int:
+    """The most worker processes a scan batch forks: this process's CPUs,
+    or 1 while other threads run, one of which may hold a lock that a
+    forked child would wait on forever."""
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _worker(run, jobs, out: int):
+    """Run ``jobs`` in a forked child and pickle each one's values or
+    error to the pipe end ``out``; never returns."""
+    status = 1
+    try:
+        results = []
+        for job in jobs:
+            try:
+                results.append(run(*job))
+            except Exception as exc:
+                results.append(exc)
+        with open(out, "wb") as pipe:
+            pickle.dump(results, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked(run, jobs: list, workers: int) -> list:
+    """``run(*job)`` of each job, from ``workers`` forked children.
+
+    Jobs go longest first to the least-loaded worker. Each worker is
+    forked once and pickles its results back over a pipe; every child
+    is reaped before this returns or raises. Where jobs fail, the error
+    of the first failing one in ``jobs`` is raised.
+    """
+    scipy_blas_lapack()  # loaded, and pinned in the caller's block, before forking
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for j in sorted(range(len(jobs)), key=lambda j: jobs[j][2] - jobs[j][1], reverse=True):
+        w = loads.index(min(loads))
+        shares[w].append(j)
+        loads[w] += jobs[j][2] - jobs[j][1]
+    children, results = [], [None] * len(jobs)
+    try:
+        for share in shares:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _worker(run, [jobs[j] for j in share], write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        for (pid, read_end), share in zip(children, shares):
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            try:
+                for j, result in zip(share, pickle.loads(payload), strict=True):
+                    results[j] = result
+            except (EOFError, pickle.UnpicklingError, ValueError):
+                raise FisherwatchError(
+                    f"scan worker {pid} ended without returning its results"
+                ) from None
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def _scan_intervals(
+    blocks: list, cfg: DetectionConfig, method: str
+) -> list[tuple[DetectorTrace, Optional[DetectionRecord]]]:
+    """(trace, first detection) of each (data, interval) pair in ``blocks``.
+
+    All jobs of the call run in one batch. Where jobs fail, the error of
+    the earliest one is raised: the error a scan in window order raises.
+    """
+    if not blocks:
+        return []
+    rule, comparison = _RULES[method]
+    threshold, values_of = rule(np.shape(blocks[0][0])[0], cfg)
+    jobs = []  # (interval index, first window, stop), in window order
+    for i, (data, _) in enumerate(blocks):
+        K = np.shape(data)[1] - cfg.d + 1
+        # an interval narrower than a window still gets one job, whose
+        # engine raises RecordTooShortError
+        jobs += [(i, first, min(first + BLOCK, K)) for first in range(0, max(K, 1), BLOCK)]
+
+    def run(i, first, stop):
+        return values_of(blocks[i][0], first=first, stop=stop)
+
+    workers = min(scan_workers(), len(jobs))
+    values = [run(*j) for j in jobs] if workers == 1 else _forked(run, jobs, workers)
+    results = []
+    for i, (_, interval) in enumerate(blocks):
+        v = np.concatenate([v for (j, _, _), v in zip(jobs, values) if j == i])
+        flags = comparison(v, threshold)
+        trace = DetectorTrace(method, interval, v, threshold, flags)
+        k_s = run_rule(flags, cfg.s)
+        results.append((trace, None if k_s is None else DetectionRecord(
+            interval=interval,
+            fault_time=interval[0] - 1 + k_s + cfg.d - 1,
+            detector=method,
+            trigger_window=k_s,
+        )))
+    return results
 
 
 @single_threaded()
@@ -121,23 +260,12 @@ def scan(
     The threshold depends only on (p, cfg), so it is computed once per
     interval. Returns the trace and the first detection, if any.
     """
-    values_of, comparison = _RULES[method]
-    threshold, values = values_of(data, cfg)
-    flags = comparison(values, threshold)
-    trace = DetectorTrace(method, interval, values, threshold, flags)
-    k_s = run_rule(flags, cfg.s)
-    if k_s is None:
-        return trace, None
-    return trace, DetectionRecord(
-        interval=interval,
-        fault_time=interval[0] - 1 + k_s + cfg.d - 1,
-        detector=method,
-        trigger_window=k_s,
-    )
+    return _scan_intervals([(data, interval)], cfg, method)[0]
 
 
-#: method -> the scan that :func:`localize` calls once per interval
-_SCANS = {m: functools.partial(scan, method=m) for m in METHODS}
+#: method -> the batch scan that :func:`localize` calls once per call,
+#: with the (data, interval) pair of every screened interval
+_SCANS = {m: functools.partial(_scan_intervals, method=m) for m in METHODS}
 
 
 @single_threaded()
@@ -149,18 +277,17 @@ def localize(
 ) -> FaultReport:
     """Screen the record, then scan each merged interval with one detector.
 
-    Intervals are scanned in order on the calling thread. Reports the
-    first detection per interval; ``true_tau`` (1-based) attaches the
-    detection delay in samples.
+    All intervals' jobs run in one batch (see the module docstring).
+    Reports the first detection per interval; ``true_tau`` (1-based)
+    attaches the detection delay in samples.
     """
     if method not in _SCANS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     cfg = validate_config(cfg, X.p)
     intervals = screen(X, cfg).merged_intervals
-    scan_interval = _SCANS[method]
+    scanned = _SCANS[method]([(X.values[:, lo - 1 : hi], (lo, hi)) for lo, hi in intervals], cfg)
     traces, detections = [], []
-    for lo, hi in intervals:
-        trace, det = scan_interval(X.values[:, lo - 1 : hi], cfg, (lo, hi))
+    for trace, det in scanned:
         traces.append(trace)
         if det is not None:
             if true_tau is not None:

@@ -1,12 +1,26 @@
 """Exception hierarchy shared across the package.
 
 Every error carries a short machine-readable ``code`` used by the CLI to
-emit one-line reason codes on stderr.
+emit one-line reason codes on stderr. Every error survives ``pickle``
+with its type, message and attributes, so a scan worker process can hand
+it back to the process that started it.
 """
+
+
+def _rebuild(cls, args, attributes):
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(attributes)
+    return exc
 
 
 class FisherwatchError(Exception):
     code = "error"
+
+    def __reduce__(self):
+        # not type(self)(*self.args): a subclass's __init__ may take other
+        # arguments than the message that args holds
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class ShapeError(FisherwatchError):

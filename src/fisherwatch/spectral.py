@@ -16,7 +16,9 @@ O(p^2) per step, so one interval's windows run in order:
   eigenvalue, by bisection on the tridiagonal (LAPACK ``dsyevx``,
   ``range='I'``).
 
-Each engine recomputes a window directly every REFRESH steps, where a
+Each engine scans the windows [first, stop) of its interval, by default
+all of them, and numbers them within the whole interval. It computes
+window first directly, and then a window every REFRESH steps, where a
 channel is constant across it and where a guard does not trust the
 updates, so it raises the direct path's errors at the same windows.
 
@@ -276,10 +278,11 @@ def _scaled_interval(data, d: int):
     return data, Z, sd, stuck
 
 
-def _fisher_states(data, d1: int, d2: int):
-    """Yield (M, ref) for every step-1 window of an interval, in O(p^2) per step.
+def _fisher_states(data, d1: int, d2: int, first: int = 0, stop=None):
+    """Yield (M, ref) for windows first..stop-1 of an interval, in O(p^2) per step.
 
-    Window k (0-based) covers columns [k, k + d2 + d1): a leading
+    ``stop`` defaults to the interval's last window. Window k (0-based)
+    covers columns [k, k + d2 + d1): a leading
     reference block of width d2 and a trailing probe block of width d1.
     In the scaled units Z of :func:`_scaled_interval`, ``ref`` is the
     window's centred reference block, R = ref ref^T its scatter, P the
@@ -290,8 +293,9 @@ def _fisher_states(data, d1: int, d2: int):
 
     A step moves one column into and one out of each block, each a rank-1
     (Welford) change of its scatter. B = R^-1 follows by Sherman-Morrison
-    and M by rank-1 terms, in place. A window is computed directly
-    (``window_covariances``, ``_cholesky_spd``) every REFRESH steps, where
+    and M by rank-1 terms, in place. Window ``first`` is computed directly
+    (``window_covariances``, ``_cholesky_spd``), and so is a window every
+    REFRESH steps after the last one computed directly, where
     a channel is constant across it, and where a guard does not trust the
     updates: a denominator below DENOMINATOR_FLOOR; 1/max_i (S_ref^-1)_ii,
     a lower bound on the smallest squared pivot, within PIVOT_MARGIN of
@@ -366,20 +370,21 @@ def _fisher_states(data, d1: int, d2: int):
         res = np.linalg.norm(SY - SX) / (np.linalg.norm(SY) + np.linalg.norm(SX))
         return ref if res <= RESIDUAL_TOL else None
 
-    B, M, means, ref = refresh(0)
-    since = 0
-    for k in range(len(stuck)):
-        if k:
-            since += 1
-            ref = None if stuck[k] or since >= REFRESH else step(k, B, M, means)
-            if ref is None:
-                B, M, means, ref = refresh(k)
-                since = 0
+    since = REFRESH  # so window first is computed directly
+    for k in range(first, len(stuck) if stop is None else stop):
+        since += 1
+        ref = None if since >= REFRESH or stuck[k] else step(k, B, M, means)
+        if ref is None:
+            B, M, means, ref = refresh(k)
+            since = 0
         yield M, ref
 
 
-def sliding_trace_sq_dev(data: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """tr{(F - I)^2} of every step-1 window of an interval, in O(p^2) per step.
+def sliding_trace_sq_dev(
+    data: np.ndarray, d1: int, d2: int, first: int = 0, stop=None
+) -> np.ndarray:
+    """tr{(F - I)^2} of step-1 windows first..stop-1 of an interval (by
+    default every window), in O(p^2) per step.
 
     Window k (0-based) covers columns [k, k + d2 + d1), as in
     :func:`_fisher_states`. Each value equals
@@ -392,7 +397,7 @@ def sliding_trace_sq_dev(data: np.ndarray, d1: int, d2: int) -> np.ndarray:
     r = (d2 - 1) / (d1 - 1)
     return np.array([
         r * r * np.einsum("ij,ji->", M, M) - 2.0 * r * np.trace(M) + p
-        for M, _ in _fisher_states(data, d1, d2)
+        for M, _ in _fisher_states(data, d1, d2, first, stop)
     ])
 
 
@@ -441,15 +446,17 @@ def _lanczos_top(M: np.ndarray, ref: np.ndarray, v: np.ndarray, Q, RQ, a, b):
 
 
 def sliding_fisher_largest(
-    data: np.ndarray, d1: int, d2: int, edge: float
+    data: np.ndarray, d1: int, d2: int, edge: float, first: int = 0, stop=None
 ) -> np.ndarray:
-    """Largest eigenvalue of F of every step-1 window, flagged against ``edge``.
+    """Largest eigenvalue of F of step-1 windows first..stop-1 (by default
+    every window), flagged against ``edge``.
 
     Windows as in :func:`_fisher_states`, whose M is self-adjoint in the
     inner product of R because R M = P is symmetric; so lambda_max(F) =
-    r theta, with theta from :func:`_lanczos_top`. Each window starts from
-    the last Ritz vector plus a WARM_KICK relative kick along a fixed
-    random vector, which lets a new top direction enter the Krylov space.
+    r theta, with theta from :func:`_lanczos_top`. Window ``first`` starts
+    from a fixed random vector, and each later one from the last Ritz
+    vector plus a WARM_KICK relative kick along that vector, which lets a
+    new top direction enter the Krylov space.
 
     The flag ``value > edge`` is certified when |r theta - edge| exceeds
     r max(rho, FLAG_MARGIN theta), the residual bound widened to cover
@@ -468,7 +475,7 @@ def sliding_fisher_largest(
     kick /= np.linalg.norm(kick)
     y = kick
     values = []
-    for k, (M, ref) in enumerate(_fisher_states(data, d1, d2)):
+    for k, (M, ref) in enumerate(_fisher_states(data, d1, d2, first, stop), first):
         v = y + WARM_KICK * np.linalg.norm(y) * kick
         theta, rho, y = _lanczos_top(M, ref, v, Q, RQ, a, b)
         if abs(r * theta - edge) > r * max(rho, FLAG_MARGIN * theta):
@@ -479,8 +486,11 @@ def sliding_fisher_largest(
     return np.array(values)
 
 
-def sliding_correlation_largest(data: np.ndarray, d: int) -> np.ndarray:
-    """Largest eigenvalue of every step-1 window's correlation matrix.
+def sliding_correlation_largest(
+    data: np.ndarray, d: int, first: int = 0, stop=None
+) -> np.ndarray:
+    """Largest eigenvalue of the correlation matrix of step-1 windows
+    first..stop-1 (by default every window).
 
     Window k covers columns [k, k + d). The correlation matrix is the
     covariance of the window's normalized rows, as in
@@ -490,7 +500,8 @@ def sliding_correlation_largest(data: np.ndarray, d: int) -> np.ndarray:
     step. Each window's correlation matrix is written into one p x p
     buffer, and LAPACK ``dsyevx`` (``range='I'``) reduces it to a
     tridiagonal and finds only the top eigenvalue by bisection. The
-    scatter is recomputed every REFRESH steps, where a channel is
+    scatter is computed directly at window ``first``, and recomputed
+    every REFRESH steps after the last direct one, where a channel is
     constant across the window (there ``normalize_rows`` raises the
     direct path's error), and where a diagonal entry has fallen below
     SCATTER_DROP of its peak since the last refresh. A solve that does
@@ -523,16 +534,15 @@ def sliding_correlation_largest(data: np.ndarray, d: int) -> np.ndarray:
         np.maximum(peak, C.diagonal(), out=peak)
         return bool((C.diagonal() >= SCATTER_DROP * peak).all())
 
-    values = np.empty(len(stuck))
+    stop = len(stuck) if stop is None else stop
+    values = np.empty(stop - first)
     G = np.empty((p, p), order="F")  # the correlation matrix, overwritten
-    C, mean, peak = refresh(0)
-    since = 0
-    for k in range(len(stuck)):
-        if k:
-            since += 1
-            if stuck[k] or since >= REFRESH or not step(k, C, mean, peak):
-                C, mean, peak = refresh(k)
-                since = 0
+    since = REFRESH  # so window first is computed directly
+    for k in range(first, stop):
+        since += 1
+        if since >= REFRESH or stuck[k] or not step(k, C, mean, peak):
+            C, mean, peak = refresh(k)
+            since = 0
         s = 1.0 / np.sqrt(C.diagonal())
         np.multiply(C, s[:, None], out=G)
         G *= s
@@ -542,5 +552,5 @@ def sliding_correlation_largest(data: np.ndarray, d: int) -> np.ndarray:
                 f"top eigenvalue of the correlation matrix not found (window {k + 1}): "
                 f"dsyevx returned info={info}, m={m}"
             )
-        values[k] = w[0]
+        values[k - first] = w[0]
     return values

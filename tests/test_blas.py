@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import re
 import subprocess
 import sys
@@ -74,9 +75,10 @@ def test_overlapping_threads_stay_pinned(two_threads):
 # its block: numpy's pool starts at two threads, and so does scipy's, the
 # moment the loader brings in its BLAS module. The spies read both pools
 # inside the engine: at each top-eigenvalue solve (mp) or each Fisher
-# state (dele, deht).
+# state (dele, deht). The engines may run in forked scan workers, so each
+# reading is appended, with its process id, as one line of a file.
 PINNED_SCRIPT = """
-import json, sys
+import json, os, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from fisherwatch import blas, io, spectral
@@ -94,8 +96,11 @@ def extension_starting_at_two(name, directory):
 def counts():
     return [get() for get, _ in blas._pools()]
 
+def record():
+    with open(sys.argv[4], "a") as log:
+        log.write(json.dumps({"pid": os.getpid(), "counts": counts()}) + "\\n")
+
 X, _ = generate(io.parse_scenario(json.loads(sys.argv[3])))
-inside = []
 method = sys.argv[2]
 if method == "mp":
     # on its first call, the engine's loader wraps the LAPACK routine that
@@ -105,7 +110,7 @@ if method == "mp":
         fblas, flapack = load()
         dsyevx = flapack.dsyevx
         def spy(*args, **kwargs):
-            inside.append(counts())
+            record()
             return dsyevx(*args, **kwargs)
         flapack.dsyevx = spy
         spectral.scipy_blas_lapack = load
@@ -115,7 +120,7 @@ else:
     states = spectral._fisher_states
     def spy(*args):
         for state in states(*args):
-            inside.append(counts())
+            record()
             yield state
     spectral._fisher_states = spy
 
@@ -124,25 +129,31 @@ for _, set_ in blas._pools():
     set_(2)
 blas._extension = extension_starting_at_two
 localize(X, DetectionConfig(), method=method)
-print(json.dumps({"inside": inside, "after": counts()}))
+print(json.dumps({"pid": os.getpid(), "after": counts()}))
 """
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_engine_pins_scipy_pool_that_loads_inside_the_block(method):
+def test_engine_pins_scipy_pool_that_loads_inside_the_block(method, tmp_path):
+    # the record screens two intervals of 81 windows: two scan jobs
     scenario = {
         "p": 20, "T": 1200, "seed": 4,
         "events": [{"tau": 600, "kind": "scale-subset", "channels": list(range(1, 9)),
                     "factor": 3.0}],
     }
     src = Path(fisherwatch.__file__).resolve().parents[1]
+    log = tmp_path / "inside.jsonl"
     out = subprocess.run(
-        [sys.executable, "-c", PINNED_SCRIPT, str(src), method, json.dumps(scenario)],
+        [sys.executable, "-c", PINNED_SCRIPT, str(src), method, json.dumps(scenario),
+         str(log)],
         capture_output=True, text=True, check=True,
     )
     seen = json.loads(out.stdout)
-    assert seen["inside"] and all(c == [1, 1] for c in seen["inside"]), seen["inside"][:3]
+    inside = [json.loads(line) for line in log.read_text().splitlines()]
+    assert inside and all(c["counts"] == [1, 1] for c in inside), inside[:3]
     assert seen["after"] == [2, 2]
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert any(c["pid"] != seen["pid"] for c in inside)
 
 
 # The loader's modules must be the ones scipy.linalg re-exports, or a

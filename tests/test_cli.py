@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -178,6 +179,12 @@ class TestBench:
         doc = json.loads((out / "timings.json").read_text())
         validate(doc, "timings.schema.json")
         assert set(doc["timings"]) == {"dele", "deht", "mp"}
+        assert doc["workers"] == len(os.sched_getaffinity(0))
+
+    def test_report_does_not_name_the_worker_count(self, tmp_path, data_file):
+        out = tmp_path / "out"
+        assert main(["detect", str(data_file), "--out-dir", str(out)]) == 0
+        assert "workers" not in (out / "report.json").read_text()
 
 
 class TestExitCodes:

@@ -1,11 +1,15 @@
+import os
+import threading
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fisherwatch import detect, io
+from fisherwatch.cli import main
 from fisherwatch.core import DetectionConfig, StateMatrix, validate_config
-from fisherwatch.detect import METHODS, localize, run_rule, scan
+from fisherwatch.detect import BLOCK, METHODS, localize, run_rule, scan
 from fisherwatch.errors import (
     ConfigError,
     DegenerateChannelError,
@@ -263,6 +267,121 @@ class TestLocalize:
         report = localize(X, DetectionConfig(s=8), method="mp")
         assert len(report.traces) == len(report.screened_intervals)
         assert report.config.s == 8
+
+
+def multi_interval_record(stuck=None):
+    """p=20 record that screens intervals of 261, 81 and 81 windows: five
+    scan jobs. ``stuck`` = (first, last) holds channel 5 at 0.25 there."""
+    events = tuple(
+        CovarianceEvent(tau=tau, kind="scale-subset", channels=tuple(range(1, 9)),
+                        factor=factor)
+        for tau, factor in ((500, 3.0), (560, 1.0), (620, 3.0))
+    )
+    X = generate(Scenario(p=20, T=2000, events=events, seed=1))[0]
+    if stuck is None:
+        return X
+    values = X.values.copy()
+    values[4, stuck[0] - 1 : stuck[1]] = 0.25
+    return StateMatrix(values=values, channel_ids=X.channel_ids)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Force ``n`` scan workers with ``forks.workers(n)``; ``forks.pids``
+    lists the children forked since."""
+    real_fork = os.fork
+
+    class Forks:
+        pids = []
+
+        @staticmethod
+        def workers(n):
+            monkeypatch.setattr(detect, "scan_workers", lambda: n)
+            Forks.pids.clear()
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            Forks.pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return Forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestScanJobs:
+    def test_record_screens_several_multi_job_intervals(self):
+        X = multi_interval_record()
+        cfg = validate_config(DetectionConfig(), X.p)
+        widths = [hi - lo + 2 - cfg.d for lo, hi in screen(X, cfg).merged_intervals]
+        assert widths == [261, 81, 81] and widths[0] > 2 * BLOCK
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_artifacts_do_not_depend_on_worker_count(self, tmp_path, forks, method):
+        data = tmp_path / "data.csv"
+        io.write_state_csv(data, multi_interval_record())
+        outputs = []
+        for n in (1, 2):
+            forks.workers(n)
+            out = tmp_path / f"workers-{n}"
+            assert main(["detect", str(data), "--method", method, "--out-dir", str(out)]) == 0
+            assert len(forks.pids) == (0 if n == 1 else 2)
+            outputs.append([(out / f).read_bytes() for f in ("report.json", "traces.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_child_outlives_localize(self, forks, method):
+        forks.workers(2)
+        localize(multi_interval_record(), DetectionConfig(), method=method)
+        assert len(forks.pids) == 2
+        assert_no_child_left()
+        forks.workers(2)
+        # stuck across windows 185..193 of the first interval: its second job
+        with pytest.raises(DegenerateChannelError, match=r"\(window 185\)$") as err:
+            localize(multi_interval_record(stuck=(605, 655)), DetectionConfig(), method=method)
+        assert err.value.row == 5
+        assert len(forks.pids) == 2
+        assert_no_child_left()
+
+    def test_no_fork_while_other_threads_run(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert detect.scan_workers() == 2
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            assert detect.scan_workers() == 1
+            localize(multi_interval_record(), DetectionConfig(), method="deht")
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert forks.pids == []
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_earliest_failing_job_raises(self, forks, method):
+        # channels 5 and 7 stuck in the second and third jobs of a
+        # 361-window interval: a scan in window order meets channel 7 first
+        cfg = validate_config(DetectionConfig(), 20)
+        values = generate(Scenario(p=20, T=2000, seed=3))[0].values[:, 900:1300].copy()
+        values[4, 300:360] = 0.25
+        values[6, 160:220] = 0.25
+        errors = []
+        for n in (1, 2):
+            forks.workers(n)
+            with pytest.raises(DegenerateChannelError) as err:
+                scan(values, cfg, (901, 1300), method)
+            errors.append(str(err.value))
+            assert err.value.row == 7
+            assert len(forks.pids) == (0 if n == 1 else 2)
+        assert errors[0] == errors[1] == (
+            "channel 7 has zero sample variance (window 161)")
+        assert_no_child_left()
 
 
 @st.composite

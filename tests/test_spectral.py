@@ -522,3 +522,34 @@ class TestSlidingCorrelationLargest:
             sliding_correlation_largest(data, 40)
         assert err.value.row == 3
         assert "(window 51)" in str(err.value)
+
+
+#: engine -> values of the windows [first, stop) of a p=20 interval, with
+#: the default d1 = 10 and d2 = 30; dele's edge sits inside its values
+EDGE = 25.0
+RANGED = {
+    "deht": lambda data, first=0, stop=None: sliding_trace_sq_dev(data, 10, 30, first, stop),
+    "dele": lambda data, first=0, stop=None: sliding_fisher_largest(
+        data, 10, 30, EDGE, first, stop),
+    "mp": lambda data, first=0, stop=None: sliding_correlation_largest(data, 40, first, stop),
+}
+
+
+@pytest.mark.parametrize("method", sorted(RANGED))
+@pytest.mark.parametrize("first, stop", [(0, 1), (REFRESH, 2 * REFRESH),
+                                         (2 * REFRESH, 3 * REFRESH + 40)])
+def test_window_range_reads_the_whole_scan(method, first, stop):
+    # no guard trips on this gaussian stream, so a range opening at a
+    # multiple of REFRESH refreshes where the whole scan does: the trace
+    # and correlation engines agree bit for bit, and dele, whose Lanczos
+    # starts afresh, keeps every flag
+    data = np.random.default_rng(5).standard_normal((20, 40 + 3 * REFRESH + 39))
+    whole = RANGED[method](data)
+    part = RANGED[method](data, first, stop)
+    assert len(whole) == 3 * REFRESH + 40
+    if method == "dele":
+        assert np.array_equal(part > EDGE, whole[first:stop] > EDGE)
+        assert 0 < np.count_nonzero(whole > EDGE) < len(whole)
+        assert np.max(np.abs(part - whole[first:stop]) / whole[first:stop]) < 1e-9
+    else:
+        assert np.array_equal(part, whole[first:stop])
