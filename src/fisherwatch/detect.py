@@ -26,10 +26,10 @@ declared time is the last column of the window completing the run.
 Each interval's windows are scanned as jobs of BLOCK consecutive
 windows, and one call runs all of its jobs in one batch: in-process
 when there is one job or one CPU, otherwise on one forked worker
-process per CPU (at most one per job). The jobs are the same whatever
-the number of workers, so no value, flag or error depends on it. A job
-opens with a window computed directly, which the engines do every
-REFRESH windows anyway.
+process per CPU (at most one per job). BLOCK is a multiple of REFRESH,
+so each job opens on the engines' refresh grid and reads the values of
+one pass over its interval exactly: no value, flag or error depends on
+the job size or the number of workers.
 """
 from __future__ import annotations
 
@@ -68,8 +68,8 @@ from .spectral import (
 )
 
 METHODS = ("dele", "deht", "mp")
-#: windows per scan job: a multiple of REFRESH, so that where no engine
-#: guard trips, a job opens where the serial engine would refresh anyway
+#: windows per scan job: a multiple of REFRESH, so that every job opens
+#: on the engines' refresh grid and its size only affects speed
 BLOCK = 2 * REFRESH
 
 
@@ -142,8 +142,8 @@ def scan_workers() -> int:
 
 
 def _worker(run, jobs, out: int):
-    """Run ``jobs`` in a forked child and pickle each one's values or
-    error to the pipe end ``out``; never returns."""
+    """Run ``jobs`` in a forked child up to the first that fails, and pickle
+    their values, then that error, to the pipe end ``out``; never returns."""
     status = 1
     try:
         results = []
@@ -152,6 +152,7 @@ def _worker(run, jobs, out: int):
                 results.append(run(*job))
             except Exception as exc:
                 results.append(exc)
+                break
         with open(out, "wb") as pipe:
             pickle.dump(results, pipe)
         status = 0
@@ -162,10 +163,11 @@ def _worker(run, jobs, out: int):
 def _forked(run, jobs: list, workers: int) -> list:
     """``run(*job)`` of each job, from ``workers`` forked children.
 
-    Jobs go longest first to the least-loaded worker. Each worker is
-    forked once and pickles its results back over a pipe; every child
-    is reaped before this returns or raises. Where jobs fail, the error
-    of the first failing one in ``jobs`` is raised.
+    Jobs go longest first to the least-loaded worker, which runs them in
+    the order of ``jobs`` up to the first that fails. Each worker is forked
+    once and pickles its results back over a pipe; every child is reaped
+    before this returns or raises. Where jobs fail, the error of the first
+    failing one in ``jobs`` is raised, which precedes every job skipped.
     """
     scipy_blas_lapack()  # loaded, and pinned in the caller's block, before forking
     shares, loads = [[] for _ in range(workers)], [0] * workers
@@ -176,6 +178,7 @@ def _forked(run, jobs: list, workers: int) -> list:
     children, results = [], [None] * len(jobs)
     try:
         for share in shares:
+            share.sort()
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -192,9 +195,10 @@ def _forked(run, jobs: list, workers: int) -> list:
             with open(read_end, "rb", closefd=False) as pipe:
                 payload = pipe.read()
             try:
-                for j, result in zip(share, pickle.loads(payload), strict=True):
+                # a share that stopped at a failing job returns fewer results
+                for j, result in zip(share, pickle.loads(payload)):
                     results[j] = result
-            except (EOFError, pickle.UnpicklingError, ValueError):
+            except (EOFError, pickle.UnpicklingError):
                 raise FisherwatchError(
                     f"scan worker {pid} ended without returning its results"
                 ) from None
@@ -251,15 +255,24 @@ def _scan_intervals(
     return results
 
 
+def _checked(cfg: DetectionConfig, p: int, method: str) -> DetectionConfig:
+    """``cfg`` resolved for p channels, once ``method`` is known."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return validate_config(cfg, p)
+
+
 @single_threaded()
 def scan(
     data: np.ndarray, cfg: DetectionConfig, interval: tuple[int, int], method: str
 ) -> tuple[DetectorTrace, Optional[DetectionRecord]]:
     """Slide the window of ``method`` across one interval's columns.
 
-    The threshold depends only on (p, cfg), so it is computed once per
-    interval. Returns the trace and the first detection, if any.
+    ``cfg`` is resolved as in :func:`localize`. The threshold depends only
+    on (p, cfg), so it is computed once per interval. Returns the trace and
+    the first detection, if any.
     """
+    cfg = _checked(cfg, np.shape(data)[0], method)
     return _scan_intervals([(data, interval)], cfg, method)[0]
 
 
@@ -281,9 +294,7 @@ def localize(
     Reports the first detection per interval; ``true_tau`` (1-based)
     attaches the detection delay in samples.
     """
-    if method not in _SCANS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    cfg = validate_config(cfg, X.p)
+    cfg = _checked(cfg, X.p, method)
     intervals = screen(X, cfg).merged_intervals
     scanned = _SCANS[method]([(X.values[:, lo - 1 : hi], (lo, hi)) for lo, hi in intervals], cfg)
     traces, detections = [], []

@@ -18,9 +18,10 @@ O(p^2) per step, so one interval's windows run in order:
 
 Each engine scans the windows [first, stop) of its interval, by default
 all of them, and numbers them within the whole interval. It computes
-window first directly, and then a window every REFRESH steps, where a
-channel is constant across it and where a guard does not trust the
-updates, so it raises the direct path's errors at the same windows.
+directly window first, each window k with k % REFRESH == 0 (the grid),
+and each where a channel is constant or a guard does not trust the
+updates: so it raises the direct path's errors at the same windows, and
+a range that opens on the grid reads the whole scan's values exactly.
 
 The screen's kernels (:func:`fisher_trace_sq_dev` and what it calls)
 run on numpy alone, so ``screen`` loads no scipy. The engines and
@@ -48,7 +49,7 @@ from .errors import (
 
 #: relative tolerance on Cholesky pivots of S2, against its largest diagonal
 PIVOT_RTOL = 1e-10
-#: steps of the sliding engine between two direct refreshes
+#: the sliding engines compute window k directly wherever k % REFRESH == 0
 REFRESH = 64
 #: the sliding engine refreshes a window directly instead of trusting its
 #: updates when a Sherman-Morrison denominator (a determinant ratio) falls
@@ -250,27 +251,28 @@ def window_spectrum(window: WindowSplit, context: str = "") -> FisherSpectrum:
     return fisher_eigenvalues(S_probe, S_ref, window.n2, window.n1, context)
 
 
-def _scaled_interval(data, d: int):
+def _scaled_interval(data, d: int, first: int = 0, stop=None):
     """(data, Z, sd, stuck): the prologue of the sliding engines.
 
     Z is the interval scaled once per row by its standard deviation sd.
     The Fisher spectrum and the correlation matrix of a window are
     invariant to a per-row rescaling shared by all its columns, and each
     block subtracts its own mean, so the engines work in Z instead of
-    normalizing each window. stuck[k] marks window k (width d) in which
-    some row is constant, where the direct path raises.
+    normalizing each window. stuck[k - first] marks window k (width d) of
+    first..stop-1 in which some row is constant, where the direct path raises.
     """
     data = np.asarray(data, dtype=float)
-    p, W = data.shape
+    W = data.shape[1]
     if W < d:
         raise RecordTooShortError(
             f"interval of width {W} cannot hold one window of width {d}"
         )
-    K = W - d + 1
-    # repeats[i, t]: how many of row i's columns 1..t equal the column before
-    repeats = np.zeros((p, W), dtype=np.int64)
-    np.cumsum(data[:, 1:] == data[:, :-1], axis=1, out=repeats[:, 1:])
-    stuck = ((repeats[:, d - 1 :] - repeats[:, :K]) == d - 1).any(axis=0)
+    stop = W - d + 1 if stop is None else stop
+    cols = data[:, first : stop + d - 1]  # those of windows first..stop-1
+    # repeats[i, t]: how many of cols[i, 1..t] equal the column before
+    repeats = np.zeros(cols.shape, dtype=np.int64)
+    np.cumsum(cols[:, 1:] == cols[:, :-1], axis=1, out=repeats[:, 1:])
+    stuck = ((repeats[:, d - 1 :] - repeats[:, : stop - first]) == d - 1).any(axis=0)
 
     sd = data.std(axis=1, ddof=1)
     sd[sd == 0.0] = 1.0  # a constant row makes every window stuck
@@ -294,16 +296,15 @@ def _fisher_states(data, d1: int, d2: int, first: int = 0, stop=None):
     A step moves one column into and one out of each block, each a rank-1
     (Welford) change of its scatter. B = R^-1 follows by Sherman-Morrison
     and M by rank-1 terms, in place. Window ``first`` is computed directly
-    (``window_covariances``, ``_cholesky_spd``), and so is a window every
-    REFRESH steps after the last one computed directly, where
-    a channel is constant across it, and where a guard does not trust the
-    updates: a denominator below DENOMINATOR_FLOOR; 1/max_i (S_ref^-1)_ii,
-    a lower bound on the smallest squared pivot, within PIVOT_MARGIN of
-    the pivot floor; or a relative residual |R M x - P x| above
-    RESIDUAL_TOL on two fixed random vectors x.
+    (``window_covariances``, ``_cholesky_spd``), and so is each window k
+    with k % REFRESH == 0, where a channel is constant across the window,
+    and where a guard does not trust the updates: a denominator below
+    DENOMINATOR_FLOOR; 1/max_i (S_ref^-1)_ii, a lower bound on the smallest
+    squared pivot, within PIVOT_MARGIN of the pivot floor; or a relative
+    residual |R M x - P x| above RESIDUAL_TOL on two fixed random vectors x.
     """
     d = d1 + d2
-    data, Z, sd, stuck = _scaled_interval(data, d)
+    data, Z, sd, stuck = _scaled_interval(data, d, first, stop)
     p = data.shape[0]
     r = (d2 - 1) / (d1 - 1)
     probes = np.random.default_rng(0).standard_normal((p, 2))
@@ -370,13 +371,11 @@ def _fisher_states(data, d1: int, d2: int, first: int = 0, stop=None):
         res = np.linalg.norm(SY - SX) / (np.linalg.norm(SY) + np.linalg.norm(SX))
         return ref if res <= RESIDUAL_TOL else None
 
-    since = REFRESH  # so window first is computed directly
-    for k in range(first, len(stuck) if stop is None else stop):
-        since += 1
-        ref = None if since >= REFRESH or stuck[k] else step(k, B, M, means)
+    for k in range(first, first + len(stuck)):
+        direct = k == first or k % REFRESH == 0 or stuck[k - first]
+        ref = None if direct else step(k, B, M, means)
         if ref is None:
             B, M, means, ref = refresh(k)
-            since = 0
         yield M, ref
 
 
@@ -453,10 +452,10 @@ def sliding_fisher_largest(
 
     Windows as in :func:`_fisher_states`, whose M is self-adjoint in the
     inner product of R because R M = P is symmetric; so lambda_max(F) =
-    r theta, with theta from :func:`_lanczos_top`. Window ``first`` starts
-    from a fixed random vector, and each later one from the last Ritz
-    vector plus a WARM_KICK relative kick along that vector, which lets a
-    new top direction enter the Krylov space.
+    r theta, with theta from :func:`_lanczos_top`. Window ``first`` and each
+    window k with k % REFRESH == 0 start from a fixed random vector, and
+    each other one from the last Ritz vector plus a WARM_KICK relative kick
+    along that vector, which lets a new top direction enter the Krylov space.
 
     The flag ``value > edge`` is certified when |r theta - edge| exceeds
     r max(rho, FLAG_MARGIN theta), the residual bound widened to cover
@@ -473,9 +472,10 @@ def sliding_fisher_largest(
     a, b = np.empty(p), np.empty(p)
     kick = np.random.default_rng(1).standard_normal(p)
     kick /= np.linalg.norm(kick)
-    y = kick
     values = []
     for k, (M, ref) in enumerate(_fisher_states(data, d1, d2, first, stop), first):
+        if k == first or k % REFRESH == 0:
+            y = kick
         v = y + WARM_KICK * np.linalg.norm(y) * kick
         theta, rho, y = _lanczos_top(M, ref, v, Q, RQ, a, b)
         if abs(r * theta - edge) > r * max(rho, FLAG_MARGIN * theta):
@@ -500,15 +500,14 @@ def sliding_correlation_largest(
     step. Each window's correlation matrix is written into one p x p
     buffer, and LAPACK ``dsyevx`` (``range='I'``) reduces it to a
     tridiagonal and finds only the top eigenvalue by bisection. The
-    scatter is computed directly at window ``first``, and recomputed
-    every REFRESH steps after the last direct one, where a channel is
-    constant across the window (there ``normalize_rows`` raises the
-    direct path's error), and where a diagonal entry has fallen below
-    SCATTER_DROP of its peak since the last refresh. A solve that does
-    not return one eigenvalue raises :class:`FisherwatchError` with the
-    context ``window k+1``.
+    scatter is computed directly at window ``first``, at each window k
+    with k % REFRESH == 0, where a channel is constant across the window
+    (there ``normalize_rows`` raises the direct path's error), and where a
+    diagonal entry has fallen below SCATTER_DROP of its peak since the
+    last refresh. A solve that does not return one eigenvalue raises
+    :class:`FisherwatchError` with the context ``window k+1``.
     """
-    data, Z, _, stuck = _scaled_interval(data, d)
+    data, Z, _, stuck = _scaled_interval(data, d, first, stop)
     p = data.shape[0]
     fblas, flapack = scipy_blas_lapack()
     ger, syevx = fblas.dger, flapack.dsyevx
@@ -534,15 +533,11 @@ def sliding_correlation_largest(
         np.maximum(peak, C.diagonal(), out=peak)
         return bool((C.diagonal() >= SCATTER_DROP * peak).all())
 
-    stop = len(stuck) if stop is None else stop
-    values = np.empty(stop - first)
+    values = np.empty(len(stuck))
     G = np.empty((p, p), order="F")  # the correlation matrix, overwritten
-    since = REFRESH  # so window first is computed directly
-    for k in range(first, stop):
-        since += 1
-        if since >= REFRESH or stuck[k] or not step(k, C, mean, peak):
+    for k in range(first, first + len(stuck)):
+        if k == first or k % REFRESH == 0 or stuck[k - first] or not step(k, C, mean, peak):
             C, mean, peak = refresh(k)
-            since = 0
         s = 1.0 / np.sqrt(C.diagonal())
         np.multiply(C, s[:, None], out=G)
         G *= s

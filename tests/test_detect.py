@@ -1,3 +1,4 @@
+import json
 import os
 import threading
 from statistics import NormalDist
@@ -21,6 +22,7 @@ from fisherwatch.rmt import clt_constants
 from fisherwatch.screening import screen
 from fisherwatch.simgen import CovarianceEvent, Scenario, generate
 from fisherwatch.spectral import (
+    REFRESH,
     WindowSplit,
     fisher_trace_sq_dev,
     normalize_rows,
@@ -126,6 +128,22 @@ class TestScans:
             _, det = scanned[name]
             assert det is not None, name
             assert tau < det.fault_time <= tau + cfg.d + cfg.s + 100
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            scan(event_record().values[:, :400], DetectionConfig(), (1, 400), "nope")
+
+    def test_invalid_config_refused(self):
+        with pytest.raises(ConfigError):
+            scan(event_record().values[:, :400], DetectionConfig(d2=5), (1, 400), "deht")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_default_config_is_resolved(self, method):
+        data = event_record(seed=4).values[:, :400]
+        trace, det = scan(data, DetectionConfig(), (1, 400), method)
+        resolved = scan(data, validate_config(DetectionConfig(), 20), (1, 400), method)
+        assert np.array_equal(trace.values, resolved[0].values)
+        assert det == resolved[1]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_interval_narrower_than_one_window(self, cfg, method):
@@ -335,6 +353,21 @@ class TestScanJobs:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("method", METHODS)
+    def test_artifacts_do_not_depend_on_job_size(self, tmp_path, monkeypatch, method):
+        # every channel jumps 1e3 in scale inside the screened interval of
+        # 201 windows, where the engines' guards trip: four jobs at
+        # BLOCK = REFRESH, one at 4 * REFRESH
+        data = tmp_path / "data.csv"
+        io.write_state_csv(data, event_record(factor=1e3, n_channels=20, seed=2))
+        outputs = []
+        for block in (REFRESH, 2 * REFRESH, 4 * REFRESH):
+            monkeypatch.setattr(detect, "BLOCK", block)
+            out = tmp_path / f"block-{block}"
+            assert main(["detect", str(data), "--method", method, "--out-dir", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("report.json", "traces.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("method", METHODS)
     def test_no_child_outlives_localize(self, forks, method):
         forks.workers(2)
         localize(multi_interval_record(), DetectionConfig(), method=method)
@@ -382,6 +415,51 @@ class TestScanJobs:
         assert errors[0] == errors[1] == (
             "channel 7 has zero sample variance (window 161)")
         assert_no_child_left()
+
+    def test_share_runs_in_window_order_up_to_its_first_failure(
+        self, tmp_path, forks, monkeypatch
+    ):
+        # jobs (interval, first): (0, 0), (0, 128), (0, 256), (1, 0), (2, 0),
+        # of 128, 128, 5, 81 and 81 windows; longest first, the first worker
+        # gets (0, 0), (1, 0) and (0, 256), and channel 5 stuck across
+        # windows 11..21 of the first interval fails (0, 0)
+        log = tmp_path / "jobs.jsonl"
+        worker = detect._worker
+
+        def write(entry):
+            with open(log, "a") as f:
+                f.write(json.dumps({"pid": os.getpid(), **entry}) + "\n")
+
+        def spy(run, jobs, out):
+            def logged(*job):
+                ok = False
+                try:
+                    result = run(*job)
+                    ok = True
+                    return result
+                finally:
+                    write({"ran": job[:2], "ok": ok})
+
+            write({"share": [job[:2] for job in jobs]})
+            worker(logged, jobs, out)
+
+        monkeypatch.setattr(detect, "_worker", spy)
+        forks.workers(2)
+        with pytest.raises(DegenerateChannelError, match=r"\(window 11\)$"):
+            localize(multi_interval_record(stuck=(431, 480)), DetectionConfig(), method="deht")
+        assert_no_child_left()
+        entries = [json.loads(line) for line in log.read_text().splitlines()]
+        shares = {e["pid"]: e["share"] for e in entries if "share" in e}
+        assert sorted(map(tuple, sum(shares.values(), []))) == [
+            (0, 0), (0, 128), (0, 256), (1, 0), (2, 0)]
+        for pid, share in shares.items():
+            assert share == sorted(share)
+            runs = [e for e in entries if e["pid"] == pid and "ran" in e]
+            assert [e["ran"] for e in runs] == share[: len(runs)]
+            assert all(e["ok"] for e in runs[:-1])
+            assert runs[-1]["ok"] == (len(runs) == len(share))
+        assert shares[next(e["pid"] for e in entries if e.get("ran") == [0, 0])] == [
+            [0, 0], [0, 256], [1, 0]]
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -524,32 +526,33 @@ class TestSlidingCorrelationLargest:
         assert "(window 51)" in str(err.value)
 
 
-#: engine -> values of the windows [first, stop) of a p=20 interval, with
-#: the default d1 = 10 and d2 = 30; dele's edge sits inside its values
-EDGE = 25.0
-RANGED = {
-    "deht": lambda data, first=0, stop=None: sliding_trace_sq_dev(data, 10, 30, first, stop),
-    "dele": lambda data, first=0, stop=None: sliding_fisher_largest(
-        data, 10, 30, EDGE, first, stop),
-    "mp": lambda data, first=0, stop=None: sliding_correlation_largest(data, 40, first, stop),
-}
+def ranged_scan(method, p, kind, first=0, stop=None):
+    """``method``'s engine values of the windows [first, stop) of an oracle
+    case (by default every window); dele flags against the support edge."""
+    d1, d2, data = oracle_case(p, kind)
+    with single_threaded():  # as on the scan path
+        if method == "deht":
+            return sliding_trace_sq_dev(data, d1, d2, first, stop)
+        if method == "dele":
+            edge = support_edges(p / (d1 - 1), p / (d2 - 1)).b
+            return sliding_fisher_largest(data, d1, d2, edge, first, stop)
+        return sliding_correlation_largest(data, d1 + d2, first, stop)
 
 
-@pytest.mark.parametrize("method", sorted(RANGED))
+whole_scan = functools.lru_cache(maxsize=None)(ranged_scan)
+
+
+@pytest.mark.parametrize("method", ["deht", "dele", "mp"])
 @pytest.mark.parametrize("first, stop", [(0, 1), (REFRESH, 2 * REFRESH),
-                                         (2 * REFRESH, 3 * REFRESH + 40)])
+                                         (2 * REFRESH, 3 * REFRESH + 40),
+                                         (3 * REFRESH, 3 * REFRESH + 41)])
 def test_window_range_reads_the_whole_scan(method, first, stop):
-    # no guard trips on this gaussian stream, so a range opening at a
-    # multiple of REFRESH refreshes where the whole scan does: the trace
-    # and correlation engines agree bit for bit, and dele, whose Lanczos
-    # starts afresh, keeps every flag
-    data = np.random.default_rng(5).standard_normal((20, 40 + 3 * REFRESH + 39))
-    whole = RANGED[method](data)
-    part = RANGED[method](data, first, stop)
-    assert len(whole) == 3 * REFRESH + 40
-    if method == "dele":
-        assert np.array_equal(part > EDGE, whole[first:stop] > EDGE)
-        assert 0 < np.count_nonzero(whole > EDGE) < len(whole)
-        assert np.max(np.abs(part - whole[first:stop]) / whole[first:stop]) < 1e-9
-    else:
-        assert np.array_equal(part, whole[first:stop])
+    # every engine refreshes on one grid of window numbers, and dele's
+    # Lanczos starts afresh there, so a range that opens on the grid
+    # reads the whole scan bit for bit, guards tripping or not
+    for p in (5, 20, 80):
+        for kind in STREAMS:
+            whole = whole_scan(method, p, kind)
+            assert len(whole) == 3 * REFRESH + 41
+            part = ranged_scan(method, p, kind, first, stop)
+            assert np.array_equal(part, whole[first:stop]), (p, kind)
