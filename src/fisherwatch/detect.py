@@ -51,7 +51,7 @@ from .core import (
     StateMatrix,
     validate_config,
 )
-from .errors import FisherwatchError
+from .errors import FisherwatchError, ShapeError
 from .rmt import (
     clt_constants,
     mp_upper_edge,
@@ -266,12 +266,17 @@ def _checked(cfg: DetectionConfig, p: int, method: str) -> DetectionConfig:
 def scan(
     data: np.ndarray, cfg: DetectionConfig, interval: tuple[int, int], method: str
 ) -> tuple[DetectorTrace, Optional[DetectionRecord]]:
-    """Slide the window of ``method`` across one interval's columns.
+    """Slide the window of ``method`` across the columns ``data`` of the
+    1-based, inclusive ``interval`` (lo, hi).
 
     ``cfg`` is resolved as in :func:`localize`. The threshold depends only
     on (p, cfg), so it is computed once per interval. Returns the trace and
     the first detection, if any.
     """
+    (lo, hi), width = interval, np.shape(data)[1]
+    if lo < 1 or hi < lo or hi - lo + 1 != width:
+        raise ShapeError(f"interval [{lo}, {hi}] (width {hi - lo + 1}) must start at "
+                         f"sample 1 or later and match the data's width {width}")
     cfg = _checked(cfg, np.shape(data)[0], method)
     return _scan_intervals([(data, interval)], cfg, method)[0]
 

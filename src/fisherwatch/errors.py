@@ -7,20 +7,8 @@ it back to the process that started it.
 """
 
 
-def _rebuild(cls, args, attributes):
-    exc = cls.__new__(cls)
-    exc.args = args
-    exc.__dict__.update(attributes)
-    return exc
-
-
 class FisherwatchError(Exception):
     code = "error"
-
-    def __reduce__(self):
-        # not type(self)(*self.args): a subclass's __init__ may take other
-        # arguments than the message that args holds
-        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class ShapeError(FisherwatchError):
@@ -47,9 +35,13 @@ class DegenerateChannelError(DataError):
     code = "degenerate-channel"
 
     def __init__(self, row: int, context: str = ""):
-        self.row = row
-        where = f" ({context})" if context else ""
-        super().__init__(f"channel {row} has zero sample variance{where}")
+        # args holds what __init__ takes, so pickle rebuilds the error
+        super().__init__(row, context)
+        self.row, self.context = row, context
+
+    def __str__(self):
+        where = f" ({self.context})" if self.context else ""
+        return f"channel {self.row} has zero sample variance{where}"
 
 
 class SingularCovarianceError(FisherwatchError):

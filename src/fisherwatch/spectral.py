@@ -4,12 +4,12 @@ The per-window kernels are pure functions of one window: the direct
 path. The sliding engines carry state from each window to the next, in
 O(p^2) per step, so one interval's windows run in order:
 
-* the Fisher engine (``_fisher_states``) keeps R^-1 and M = R^-1 P of
-  the reference and probe scatters. :func:`sliding_trace_sq_dev` reads
+* the Fisher engine (``_fisher_states``) keeps B = R^-1 and M = R^-1 P
+  of the reference and probe scatters. :func:`sliding_trace_sq_dev` reads
   tr{(F - I)^2} from M; :func:`sliding_fisher_largest` reads the top
-  Fisher eigenvalue by warm-started Lanczos in the R inner product, and
-  computes a window directly where the Lanczos residual cannot certify
-  its flag;
+  Fisher eigenvalue by warm-started symmetric Lanczos on H = Y^T B Y,
+  with Y the centred probe block, and computes a window directly where
+  the Lanczos residual cannot certify its flag;
 * the window-scatter engine :func:`sliding_correlation_largest` keeps
   the whole window's scatter by rank-1 updates, writes each window's
   correlation matrix into one preallocated buffer and reads only its top
@@ -33,7 +33,6 @@ first use and pins their pool then.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,15 +64,15 @@ RESIDUAL_TOL = 3e-12
 SCATTER_DROP = 1e-3
 #: Lanczos for the top Fisher eigenvalue: a Ritz value has converged when
 #: its residual bound is at most LANCZOS_TOL times itself, checked every
-#: LANCZOS_CHECK steps; a run ends there, at a breakdown, or after p steps,
-#: when the Krylov space is all of R^p
+#: LANCZOS_CHECK steps; a run ends there, at a breakdown, or after d1
+#: steps, when the Krylov space is all of R^d1
 LANCZOS_TOL = 1e-10
 LANCZOS_CHECK = 3
 #: a top eigenvalue from Lanczos certifies its flag only when farther from
 #: the edge than its residual bound and than FLAG_MARGIN times itself, which
-#: covers the rounding of M and of the R inner product
+#: covers the rounding of B and of Y
 FLAG_MARGIN = 1e-8
-#: a Lanczos vector whose R-norm is at most BREAKDOWN times that of its
+#: a Lanczos vector whose norm is at most BREAKDOWN times that of its
 #: projection onto the Krylov space ends the iteration
 BREAKDOWN = 1e-12
 #: relative size of the fixed random kick added to each warm start
@@ -281,17 +280,18 @@ def _scaled_interval(data, d: int, first: int = 0, stop=None):
 
 
 def _fisher_states(data, d1: int, d2: int, first: int = 0, stop=None):
-    """Yield (M, ref) for windows first..stop-1 of an interval, in O(p^2) per step.
+    """Yield (B, M, Y) for windows first..stop-1 of an interval, in O(p^2) per step.
 
     ``stop`` defaults to the interval's last window. Window k (0-based)
     covers columns [k, k + d2 + d1): a leading
     reference block of width d2 and a trailing probe block of width d1.
-    In the scaled units Z of :func:`_scaled_interval`, ``ref`` is the
-    window's centred reference block, R = ref ref^T its scatter, P the
-    probe's scatter and M = R^-1 P; with r = (d2-1)/(d1-1), the Fisher
-    matrix F = S_probe S_ref^-1 has the eigenvalues of r M. M is updated
-    in place, so read it before advancing. A window raises the error the
-    direct path raises, with the context ``window k+1``.
+    In the scaled units Z of :func:`_scaled_interval`, R is the scatter of
+    the window's centred reference block, ``Y`` the centred probe block
+    (p x d1), P = Y Y^T its scatter, ``B`` = R^-1 and ``M`` = B P; with
+    r = (d2-1)/(d1-1), the Fisher matrix F = S_probe S_ref^-1 has the
+    eigenvalues of r M. B and M are updated in place, so read them before
+    advancing. A window raises the error the direct path raises, with the
+    context ``window k+1``.
 
     A step moves one column into and one out of each block, each a rank-1
     (Welford) change of its scatter. B = R^-1 follows by Sherman-Morrison
@@ -312,7 +312,7 @@ def _fisher_states(data, d1: int, d2: int, first: int = 0, stop=None):
     ger = fblas.dger
 
     def refresh(k: int):
-        """B, M, the two block means and ref of window k, computed directly."""
+        """B, M, the two block means and Y of window k, computed directly."""
         cols = data[:, k : k + d]
         ctx = f"window {k + 1}"
         S_probe, S_ref = window_covariances(WindowSplit(k, d2, d1, cols), ctx)
@@ -327,10 +327,10 @@ def _fisher_states(data, d1: int, d2: int, first: int = 0, stop=None):
         # M by the one solve of fisher_trace_sq_dev, so both round alike
         M = np.asfortranarray(np.linalg.solve(S_ref, S_probe) * np.outer(D, 1.0 / D) / r)
         means = [Z[:, k : k + d2].mean(axis=1), Z[:, k + d2 : k + d].mean(axis=1)]
-        return B, M, means, Z[:, k : k + d2] - means[0][:, None]
+        return B, M, means, Z[:, k + d2 : k + d] - means[1][:, None]
 
     def step(k: int, B, M, means):
-        """Slide from window k-1 to k in place; return ref, or None where a
+        """Slide from window k-1 to k in place; return Y, or None where a
         guard trips."""
         # (block, column, added): the probe (1) gains column k-1+d and
         # hands column k-1+d2 to the reference (0), which drops column k-1
@@ -369,14 +369,14 @@ def _fisher_states(data, d1: int, d2: int, first: int = 0, stop=None):
         SY = ref @ (ref.T @ (M @ probes))
         SX = probe @ (probe.T @ probes)
         res = np.linalg.norm(SY - SX) / (np.linalg.norm(SY) + np.linalg.norm(SX))
-        return ref if res <= RESIDUAL_TOL else None
+        return probe if res <= RESIDUAL_TOL else None
 
     for k in range(first, first + len(stuck)):
         direct = k == first or k % REFRESH == 0 or stuck[k - first]
-        ref = None if direct else step(k, B, M, means)
-        if ref is None:
-            B, M, means, ref = refresh(k)
-        yield M, ref
+        Y = None if direct else step(k, B, M, means)
+        if Y is None:
+            B, M, means, Y = refresh(k)
+        yield B, M, Y
 
 
 def sliding_trace_sq_dev(
@@ -396,43 +396,39 @@ def sliding_trace_sq_dev(
     r = (d2 - 1) / (d1 - 1)
     return np.array([
         r * r * np.einsum("ij,ji->", M, M) - 2.0 * r * np.trace(M) + p
-        for M, _ in _fisher_states(data, d1, d2, first, stop)
+        for _, M, _ in _fisher_states(data, d1, d2, first, stop)
     ])
 
 
-def _lanczos_top(M: np.ndarray, ref: np.ndarray, v: np.ndarray, Q, RQ, a, b):
-    """Largest Ritz pair of M in the inner product of R = ref ref^T.
+def _lanczos_top(B: np.ndarray, Y: np.ndarray, v: np.ndarray, Q, a, b):
+    """Largest Ritz pair of the symmetric H = Y^T B Y (n x n, with Y p x n).
 
-    M (Fortran order) must be self-adjoint in that inner product. Lanczos
-    with full reorthogonalization (classical Gram-Schmidt, twice) starts
-    from v. Q and RQ (p x p, Fortran order) receive the R-orthonormal
-    Krylov basis and its R-products, a and b (length p) the tridiagonal.
-    Returns (theta, rho, y): the largest Ritz value, the R-norm of its
-    residual M y - theta y, and its R-unit Ritz vector, at convergence,
-    breakdown or step p. theta is at most the largest eigenvalue of M,
-    and some eigenvalue of M lies within rho of it.
+    Lanczos with full reorthogonalization (classical Gram-Schmidt, twice)
+    starts from v; each step multiplies by H as Y^T (B (Y q)). B (p x p,
+    Fortran order) must be symmetric. Q (n x n, Fortran order) receives the
+    orthonormal Krylov basis, a and b (length n) the tridiagonal. Returns
+    (theta, rho, y): the largest Ritz value, the norm of its residual
+    H y - theta y, and its unit Ritz vector, at convergence, breakdown or
+    step n. theta is at most the largest eigenvalue of H, and some
+    eigenvalue of H lies within rho of it.
     """
     fblas, flapack = scipy_blas_lapack()
-    gemv, dot, stev = fblas.dgemv, fblas.ddot, flapack.dstev
-    refT = ref.T  # Fortran order, so BLAS takes it without a copy
-    Rv = gemv(1.0, refT, gemv(1.0, refT, v), trans=1)
-    norm = math.sqrt(dot(v, Rv))
-    np.divide(v, norm, out=Q[:, 0])
-    np.divide(Rv, norm, out=RQ[:, 0])
+    gemv, nrm2, stev = fblas.dgemv, fblas.dnrm2, flapack.dstev
+    YT = Y.T  # Fortran order, so BLAS takes it without a copy
+    np.divide(v, nrm2(v), out=Q[:, 0])
     m = len(a)
     for j in range(m):
-        q, Rq = Q[:, : j + 1], RQ[:, : j + 1]
-        w = gemv(1.0, M, Q[:, j])
-        h = gemv(1.0, Rq, w, trans=1)
+        q = Q[:, : j + 1]
+        w = gemv(1.0, YT, gemv(1.0, B, gemv(1.0, YT, Q[:, j], trans=1)))
+        h = gemv(1.0, q, w, trans=1)
         gemv(-1.0, q, h, beta=1.0, y=w, overwrite_y=True)
-        h2 = gemv(1.0, Rq, w, trans=1)
+        h2 = gemv(1.0, q, w, trans=1)
         gemv(-1.0, q, h2, beta=1.0, y=w, overwrite_y=True)
         a[j] = h[j] + h2[j]
-        Rw = gemv(1.0, refT, gemv(1.0, refT, w), trans=1)
-        beta = math.sqrt(max(dot(w, Rw), 0.0))
-        # breakdown (M q_j lies in the Krylov space up to rounding, so that
-        # space is invariant and its Ritz values are exact) or step p ends it
-        done = beta <= BREAKDOWN * math.sqrt(dot(h, h)) or j + 1 == m
+        beta = nrm2(w)
+        # breakdown (H q_j lies in the Krylov space up to rounding, so that
+        # space is invariant and its Ritz values are exact) or step n ends it
+        done = beta <= BREAKDOWN * nrm2(h) or j + 1 == m
         if done or (j + 1) % LANCZOS_CHECK == 0:
             thetas, S, _ = stev(a[: j + 1], b[:j], compute_v=True)
             theta, s = thetas[-1], S[:, -1]
@@ -441,7 +437,6 @@ def _lanczos_top(M: np.ndarray, ref: np.ndarray, v: np.ndarray, Q, RQ, a, b):
                 return theta, rho, q @ s
         b[j] = beta
         np.divide(w, beta, out=Q[:, j + 1])
-        np.divide(Rw, beta, out=RQ[:, j + 1])
 
 
 def sliding_fisher_largest(
@@ -450,34 +445,34 @@ def sliding_fisher_largest(
     """Largest eigenvalue of F of step-1 windows first..stop-1 (by default
     every window), flagged against ``edge``.
 
-    Windows as in :func:`_fisher_states`, whose M is self-adjoint in the
-    inner product of R because R M = P is symmetric; so lambda_max(F) =
-    r theta, with theta from :func:`_lanczos_top`. Window ``first`` and each
-    window k with k % REFRESH == 0 start from a fixed random vector, and
-    each other one from the last Ritz vector plus a WARM_KICK relative kick
-    along that vector, which lets a new top direction enter the Krylov space.
+    Windows as in :func:`_fisher_states`, whose M = B Y Y^T has the nonzero
+    eigenvalues of the symmetric d1 x d1 matrix H = Y^T B Y; so
+    lambda_max(F) = r theta, with theta from :func:`_lanczos_top`. Window
+    ``first`` and each window k with k % REFRESH == 0 start from a fixed
+    random vector, and each other one from the last Ritz vector shifted by
+    the column that the probe slides, plus a WARM_KICK relative kick,
+    which lets a new top direction enter the Krylov space.
 
     The flag ``value > edge`` is certified when |r theta - edge| exceeds
     r max(rho, FLAG_MARGIN theta), the residual bound widened to cover
-    the rounding of M and of the R inner product. A window that is not
-    certified is computed directly by :func:`window_spectrum`, and that
-    value is reported. So every flag equals the direct path's, and
-    values agree with it to about 1e-9.
+    the rounding of B and Y. A window that is not certified is computed
+    directly by :func:`window_spectrum`, and that value is reported. So
+    every flag equals the direct path's, and values agree with it within
+    1e-8 relative.
     """
     d = d1 + d2
     data = np.asarray(data, dtype=float)
-    p = data.shape[0]
     r = (d2 - 1) / (d1 - 1)
-    Q, RQ = np.empty((p, p), order="F"), np.empty((p, p), order="F")
-    a, b = np.empty(p), np.empty(p)
-    kick = np.random.default_rng(1).standard_normal(p)
+    Q = np.empty((d1, d1), order="F")
+    a, b = np.empty(d1), np.empty(d1)
+    kick = np.random.default_rng(1).standard_normal(d1)
     kick /= np.linalg.norm(kick)
     values = []
-    for k, (M, ref) in enumerate(_fisher_states(data, d1, d2, first, stop), first):
-        if k == first or k % REFRESH == 0:
-            y = kick
+    for k, (B, _, Y) in enumerate(_fisher_states(data, d1, d2, first, stop), first):
+        # the probe drops its first column and gains a last one
+        y = kick if k == first or k % REFRESH == 0 else np.append(y[1:], 0.0)
         v = y + WARM_KICK * np.linalg.norm(y) * kick
-        theta, rho, y = _lanczos_top(M, ref, v, Q, RQ, a, b)
+        theta, rho, y = _lanczos_top(B, Y, v, Q, a, b)
         if abs(r * theta - edge) > r * max(rho, FLAG_MARGIN * theta):
             values.append(r * theta)
         else:

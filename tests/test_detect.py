@@ -16,6 +16,7 @@ from fisherwatch.errors import (
     DegenerateChannelError,
     FisherwatchError,
     RecordTooShortError,
+    ShapeError,
     SingularCovarianceError,
 )
 from fisherwatch.rmt import clt_constants
@@ -136,6 +137,20 @@ class TestScans:
     def test_invalid_config_refused(self):
         with pytest.raises(ConfigError):
             scan(event_record().values[:, :400], DetectionConfig(d2=5), (1, 400), "deht")
+
+    @pytest.mark.parametrize(
+        "interval, message",
+        [
+            # 361 values of a 400-column block would go out as 100 samples'
+            ((901, 1000), r"\(width 100\).* width 400"),
+            ((0, 399), r"\[0, 399\] \(width 400\)"),
+            ((1000, 901), r"\(width -98\).* width 400"),
+        ],
+    )
+    def test_interval_must_match_the_data_block(self, interval, message):
+        data = event_record(T=1300, tau=1118).values[:, 900:1300]
+        with pytest.raises(ShapeError, match=message):
+            scan(data, DetectionConfig(), interval, "deht")
 
     @pytest.mark.parametrize("method", METHODS)
     def test_default_config_is_resolved(self, method):

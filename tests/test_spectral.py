@@ -17,7 +17,10 @@ from fisherwatch.errors import (
 )
 from fisherwatch.rmt import mp_upper_edge, support_edges
 from fisherwatch.spectral import (
+    LANCZOS_CHECK,
+    LANCZOS_TOL,
     REFRESH,
+    WARM_KICK,
     FisherSpectrum,
     WindowSplit,
     fisher_eigenvalues,
@@ -383,6 +386,68 @@ def direct_largest(data, d1, d2):
     ])
 
 
+@pytest.fixture
+def lanczos_runs(monkeypatch):
+    """(start vector, steps, Ritz vector) of each run of _lanczos_top."""
+    runs, top = [], spectral._lanczos_top
+
+    def recording(B, Y, v, Q, a, b):
+        a[:] = np.nan  # each step writes one diagonal entry
+        theta, rho, y = top(B, Y, v, Q, a, b)
+        runs.append((v.copy(), int(np.count_nonzero(~np.isnan(a))), y))
+        return theta, rho, y
+
+    monkeypatch.setattr(spectral, "_lanczos_top", recording)
+    return runs
+
+
+class TestLanczosTop:
+    """Symmetric Lanczos on H = Y^T B Y, against eigvalsh of H."""
+
+    @staticmethod
+    def run(p, n, spike=1.0):
+        """(theta, rho, y, H, steps) on an SPD B and a row-centred Y (p x n)
+        whose first channel is scaled by ``spike``."""
+        rng = np.random.default_rng([p, n])
+        B = np.asfortranarray(random_spd(rng, p))
+        Y = rng.standard_normal((p, n))
+        Y[0] *= spike
+        Y -= Y.mean(axis=1, keepdims=True)
+        Q = np.empty((n, n), order="F")
+        a, b = np.full(n, np.nan), np.empty(n)
+        theta, rho, y = spectral._lanczos_top(B, Y, rng.standard_normal(n), Q, a, b)
+        return theta, rho, y, Y.T @ B @ Y, int(np.count_nonzero(~np.isnan(a)))
+
+    @staticmethod
+    def assert_ritz_pair(theta, rho, y, H):
+        top = np.linalg.eigvalsh(H)[-1]
+        tol = 1e-12 * top
+        assert theta <= top + tol
+        assert top - theta <= rho + tol
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(H @ y - theta * y) <= rho + tol
+
+    def test_converges_on_a_dominant_eigenvalue(self):
+        theta, rho, y, H, steps = self.run(30, 25, spike=10.0)
+        self.assert_ritz_pair(theta, rho, y, H)
+        assert steps < 25 and steps % LANCZOS_CHECK == 0
+        assert rho <= LANCZOS_TOL * theta
+
+    def test_breaks_down_when_h_has_rank_below_n_minus_one(self, monkeypatch):
+        # H has rank p = 5: the Krylov space of its range and of the null
+        # direction in the start vector is invariant after p + 1 steps
+        monkeypatch.setattr(spectral, "LANCZOS_TOL", 0.0)
+        theta, rho, y, H, steps = self.run(5, 12)
+        self.assert_ritz_pair(theta, rho, y, H)
+        assert steps <= 5 + 1
+
+    def test_ends_after_n_steps_when_h_has_rank_n_minus_one(self, monkeypatch):
+        monkeypatch.setattr(spectral, "LANCZOS_TOL", 0.0)
+        theta, rho, y, H, steps = self.run(20, 8)
+        self.assert_ritz_pair(theta, rho, y, H)
+        assert steps == 8
+
+
 class TestSlidingFisherLargest:
     @pytest.fixture
     def direct_windows(self, monkeypatch):
@@ -420,20 +485,41 @@ class TestSlidingFisherLargest:
         assert not fast[k] > direct[k]  # the flag the direct path gives
 
     @pytest.mark.parametrize("d1", [10, 30])
-    def test_runs_to_breakdown_or_p_steps_stay_certified(
-        self, monkeypatch, direct_windows, d1
+    def test_runs_to_breakdown_or_n_steps_stay_certified(
+        self, monkeypatch, direct_windows, lanczos_runs, d1
     ):
-        # no Ritz value ever counts as converged, so every run ends at a
-        # breakdown (d1 = 10: the probe scatter has rank 9 < p) or after
-        # p steps (d1 = 30), and its last Ritz pair must still certify
+        # no Ritz value ever counts as converged, so every run on the d1 x d1
+        # H = Y^T B Y ends after d1 steps (d1 = 10: H has rank 9 = d1 - 1)
+        # or at a breakdown (d1 = 30: H has rank p = 20 < d1 - 1), and its
+        # last Ritz pair must still certify
         monkeypatch.setattr(spectral, "LANCZOS_TOL", 0.0)
         data = np.random.default_rng(15).standard_normal((20, 60))
         edge = 25.0  # splits the d1 = 10 values, 17.0-45.4
         direct = direct_largest(data, d1, 30)
         fast = sliding_fisher_largest(data, d1, 30, edge)
+        steps = {s for _, s, _ in lanczos_runs}
+        if d1 == 10:
+            assert steps == {d1}
+        else:
+            assert max(steps) < d1  # 22 steps on this record
         assert direct_windows == []
         assert np.max(np.abs(fast - direct)) < 1e-8
         assert np.array_equal(fast > edge, direct > edge)
+
+    def test_warm_start_shifts_the_last_ritz_vector(self, lanczos_runs):
+        # window k's probe is window k-1's without its first column and
+        # with one more last column; the grid windows start from the kick
+        d1, d2, data = oracle_case(80, "jump")
+        edge = support_edges(80 / (d1 - 1), 80 / (d2 - 1)).b
+        with single_threaded():
+            sliding_fisher_largest(data, d1, d2, edge)
+        assert len(lanczos_runs) == data.shape[1] - d1 - d2 + 1
+        kick = np.random.default_rng(1).standard_normal(d1)
+        kick /= np.linalg.norm(kick)
+        for k, (v, _, _) in enumerate(lanczos_runs):
+            y = kick if k % REFRESH == 0 else np.append(lanczos_runs[k - 1][2][1:], 0.0)
+            assert np.allclose(v, y + WARM_KICK * np.linalg.norm(y) * kick,
+                               rtol=0.0, atol=1e-15), k
 
     @pytest.mark.parametrize("p", [5, 60])
     def test_too_short(self, p):
