@@ -104,7 +104,7 @@ def cmd_validate_null(args) -> int:
     ks_esd = esd_vs_lsd_ks(args.esd_p, args.esd_n, seed=args.seed, knob="--esd-n")
     calib = null_calibration(
         args.p, args.n1, args.n2, args.reps, alpha=cfg.alpha, seed=args.seed,
-        knob="--n2",
+        knob="--n2", kappa=cfg.kappa, beta1=cfg.beta1, beta2=cfg.beta2,
     )
     out = _out_dir(args)
     calib_path = out / "calibration.json"

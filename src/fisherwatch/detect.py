@@ -25,18 +25,17 @@ declared time is the last column of the window completing the run.
 
 Each interval's windows are scanned as jobs of BLOCK consecutive
 windows, and one call runs all of its jobs in one batch: in-process
-when there is one job or one CPU, otherwise on one forked worker
-process per CPU (at most one per job). BLOCK is a multiple of REFRESH,
-so each job opens on the engines' refresh grid and reads the values of
-one pass over its interval exactly: no value, flag or error depends on
-the job size or the number of workers.
+when there is one job or one CPU, otherwise on a fork-context process
+pool of one worker per CPU (at most one per job), whose idle workers
+take the next job in window order (see :func:`_forked`). BLOCK is a
+multiple of REFRESH, so each job opens on the engines' refresh grid and
+reads the values of one pass over its interval exactly: no value, flag
+or error depends on the job size or the number of workers.
 """
 from __future__ import annotations
 
 import functools
 import os
-import pickle
-import signal
 import threading
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -141,79 +140,45 @@ def scan_workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _worker(run, jobs, out: int):
-    """Run ``jobs`` in a forked child up to the first that fails, and pickle
-    their values, then that error, to the pipe end ``out``; never returns."""
-    status = 1
-    try:
-        results = []
-        for job in jobs:
-            try:
-                results.append(run(*job))
-            except Exception as exc:
-                results.append(exc)
-                break
-        with open(out, "wb") as pipe:
-            pickle.dump(results, pipe)
-        status = 0
-    finally:
-        os._exit(status)
+#: the job runner, set by :func:`_install` in each pool worker as it starts
+_run = None
+
+
+def _install(run):
+    global _run
+    _run = run
+
+
+def _call(job):
+    return _run(*job)
 
 
 def _forked(run, jobs: list, workers: int) -> list:
-    """``run(*job)`` of each job, from ``workers`` forked children.
+    """``run(*job)`` of each job, from a pool of ``workers`` forked processes.
 
-    Jobs go longest first to the least-loaded worker, which runs them in
-    the order of ``jobs`` up to the first that fails. Each worker is forked
-    once and pickles its results back over a pipe; every child is reaped
-    before this returns or raises. Where jobs fail, the error of the first
-    failing one in ``jobs`` is raised, which precedes every job skipped.
+    The pool forks after BLAS is loaded and pinned. Each idle worker takes
+    the next job in the order of ``jobs``, and the results come back in
+    that order, so where jobs fail the error of the first failing one is
+    raised; jobs not yet started are then cancelled. A worker that dies
+    raises a one-line :class:`FisherwatchError`. Every worker is reaped
+    before this returns or raises.
     """
+    # imported here, so that only a batch pays for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     scipy_blas_lapack()  # loaded, and pinned in the caller's block, before forking
-    shares, loads = [[] for _ in range(workers)], [0] * workers
-    for j in sorted(range(len(jobs)), key=lambda j: jobs[j][2] - jobs[j][1], reverse=True):
-        w = loads.index(min(loads))
-        shares[w].append(j)
-        loads[w] += jobs[j][2] - jobs[j][1]
-    children, results = [], [None] * len(jobs)
+    # under fork, each worker inherits ``run`` with the data blocks it
+    # closes over: only the jobs and their values cross between processes
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_install, initargs=(run,))
     try:
-        for share in shares:
-            share.sort()
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                os.close(read_end)
-                _worker(run, [jobs[j] for j in share], write_end)
-            os.close(write_end)
-            children.append((pid, read_end))
-        for (pid, read_end), share in zip(children, shares):
-            with open(read_end, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            try:
-                # a share that stopped at a failing job returns fewer results
-                for j, result in zip(share, pickle.loads(payload)):
-                    results[j] = result
-            except (EOFError, pickle.UnpicklingError):
-                raise FisherwatchError(
-                    f"scan worker {pid} ended without returning its results"
-                ) from None
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
+        return list(pool.map(_call, jobs))
+    except BrokenProcessPool:
+        raise FisherwatchError("a scan worker ended without returning its results") from None
     finally:
-        for pid, read_end in children:
-            os.close(read_end)
-            os.waitpid(pid, 0)
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
+        pool.shutdown(cancel_futures=True)
 
 
 def _scan_intervals(

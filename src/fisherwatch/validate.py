@@ -23,14 +23,16 @@ def _draw_covariances(rng, p, n1, n2):
 
 
 @single_threaded()
-def null_statistic_sample(p, n1, n2, reps, seed=0, knob="n2") -> np.ndarray:
-    """reps draws of the statistic L under equal covariances.
+def null_statistic_sample(p, n1, n2, reps, seed=0, knob="n2", kappa=2, beta1=0.0,
+                          beta2=0.0) -> np.ndarray:
+    """reps draws of the statistic L under equal covariances, standardized
+    by the CLT constants at ``kappa``, ``beta1`` and ``beta2``.
 
     A singular denominator raises an error that names ``knob``, the
     setting behind n2.
     """
     rng = np.random.default_rng(seed)
-    consts = clt_constants(p / (n1 - 1), p / (n2 - 1))
+    consts = clt_constants(p / (n1 - 1), p / (n2 - 1), kappa, beta1, beta2)
     out = np.empty(reps)
     for r in range(reps):
         S1, S2 = _draw_covariances(rng, p, n1, n2)
@@ -46,9 +48,10 @@ def _ks_distance(sample, cdf) -> float:
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 
 
-def null_calibration(p, n1, n2, reps, alpha=0.01, seed=0, knob="n2") -> dict:
+def null_calibration(p, n1, n2, reps, alpha=0.01, seed=0, knob="n2", kappa=2,
+                     beta1=0.0, beta2=0.0) -> dict:
     """Empirical mean/sd/size of L plus a KS distance against N(0, 1)."""
-    Ls = null_statistic_sample(p, n1, n2, reps, seed, knob)
+    Ls = null_statistic_sample(p, n1, n2, reps, seed, knob, kappa, beta1, beta2)
     threshold = rejection_threshold(alpha)
     return {
         "statistic_mean": float(Ls.mean()),

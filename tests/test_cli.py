@@ -15,6 +15,7 @@ from fisherwatch.cli import main
 from fisherwatch.core import StateMatrix
 from fisherwatch.detect import METHODS
 from fisherwatch.simgen import Scenario, generate
+from fisherwatch.validate import null_statistic_sample
 
 SCENARIO = {
     "p": 20,
@@ -164,6 +165,21 @@ class TestValidateNull:
         assert doc["reps"] == 150
         assert doc["seed"] == 12345
         assert 0.0 <= doc["empirical_size"] <= 1.0
+
+    @pytest.mark.parametrize("clt", [{"kappa": 1}, {"beta1": 1.5, "beta2": 1.5}])
+    def test_config_sets_the_clt_constants(self, tmp_path, clt):
+        argv = ["validate-null", "--reps", "100", "--p", "16", "--n1", "48", "--n2", "48",
+                "--esd-p", "8", "--esd-n", "32"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(clt))
+        docs = []
+        for name, extra in (("default", []), ("config", ["--config", str(config)])):
+            assert main([*argv, *extra, "--out-dir", str(tmp_path / name)]) == 0
+            docs.append(json.loads((tmp_path / name / "calibration.json").read_text()))
+        Ls = null_statistic_sample(16, 48, 48, 100, seed=12345, **clt)
+        assert docs[0]["statistic_mean"] != docs[1]["statistic_mean"]
+        assert docs[1]["statistic_mean"] == float(Ls.mean())
+        assert docs[1]["statistic_sd"] == float(Ls.std(ddof=1))
 
     def test_too_few_reps(self, tmp_path, capsys):
         code = main(["validate-null", "--reps", "10", "--out-dir", str(tmp_path)])
@@ -325,13 +341,15 @@ def test_cli_import_leaves_out_scipy_stats_and_integrate():
     assert out.stdout.strip() == "[]"
 
 
-def scipy_modules_after(*argvs):
-    """scipy* modules loaded in a fresh interpreter after importing the CLI,
-    then after each of ``argvs`` in turn: one sorted list per stage."""
+def modules_after(*argvs, prefixes=("scipy",)):
+    """Modules named under ``prefixes`` loaded in a fresh interpreter after
+    importing the CLI, then after each of ``argvs`` in turn: one sorted
+    list per stage."""
     src = Path(fisherwatch.__file__).resolve().parents[1]
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import fisherwatch.cli\n"
-        "def loaded(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "prefixes = tuple(json.loads(sys.argv[3]))\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith(prefixes))\n"
         "stages = [loaded()]\n"
         "for argv in json.loads(sys.argv[2]):\n"
         "    assert fisherwatch.cli.main(argv) == 0, argv\n"
@@ -339,17 +357,19 @@ def scipy_modules_after(*argvs):
         "print(json.dumps(stages))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, str(src), json.dumps(argvs)],
+        [sys.executable, "-c", code, str(src), json.dumps(argvs), json.dumps(prefixes)],
         capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout)
 
 
 def test_cli_import_simulate_and_screen_load_no_scipy(tmp_path, scenario_file):
+    # nor the process pool that only a scan batch uses
     data = tmp_path / "sim" / "data.csv"
-    stages = scipy_modules_after(
+    stages = modules_after(
         ["simulate", str(scenario_file), "--out-dir", str(data.parent)],
         ["screen", str(data), "--out-dir", str(tmp_path / "screen")],
+        prefixes=("scipy", "multiprocessing", "concurrent"),
     )
     assert stages == [[], [], []]
 
@@ -361,10 +381,10 @@ SCIPY_BLAS_LAPACK = ["scipy.linalg._fblas", "scipy.linalg._flapack"]
 def test_validate_null_loads_no_scipy_stats_integrate_or_special(tmp_path):
     argv = ["validate-null", "--reps", "100", "--p", "10", "--n1", "30", "--n2", "30",
             "--esd-p", "10", "--esd-n", "40", "--out-dir", str(tmp_path)]
-    assert scipy_modules_after(argv)[-1] == SCIPY_BLAS_LAPACK
+    assert modules_after(argv)[-1] == SCIPY_BLAS_LAPACK
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_detect_loads_only_scipy_blas_and_lapack(tmp_path, data_file, method):
     argv = ["detect", str(data_file), "--method", method, "--out-dir", str(tmp_path)]
-    assert scipy_modules_after(argv)[-1] == SCIPY_BLAS_LAPACK
+    assert modules_after(argv)[-1] == SCIPY_BLAS_LAPACK

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import threading
 from statistics import NormalDist
 
@@ -431,50 +432,76 @@ class TestScanJobs:
             "channel 7 has zero sample variance (window 161)")
         assert_no_child_left()
 
-    def test_share_runs_in_window_order_up_to_its_first_failure(
-        self, tmp_path, forks, monkeypatch
-    ):
-        # jobs (interval, first): (0, 0), (0, 128), (0, 256), (1, 0), (2, 0),
-        # of 128, 128, 5, 81 and 81 windows; longest first, the first worker
-        # gets (0, 0), (1, 0) and (0, 256), and channel 5 stuck across
-        # windows 11..21 of the first interval fails (0, 0)
-        log = tmp_path / "jobs.jsonl"
-        worker = detect._worker
+    @staticmethod
+    def log_jobs(monkeypatch, log, X, method, job=None):
+        """Wrap ``method``'s values so that each job appends (pid, lo, first)
+        to ``log`` before it runs ``job(lo, first)``, if given; lo is the
+        1-based first sample of the job's interval in ``X``."""
+        rule, comparison = detect._RULES[method]
 
-        def write(entry):
-            with open(log, "a") as f:
-                f.write(json.dumps({"pid": os.getpid(), **entry}) + "\n")
+        def logged_rule(p, cfg):
+            threshold, values = rule(p, cfg)
 
-        def spy(run, jobs, out):
-            def logged(*job):
-                ok = False
-                try:
-                    result = run(*job)
-                    ok = True
-                    return result
-                finally:
-                    write({"ran": job[:2], "ok": ok})
+            def logged(data, first, stop):
+                lo = 1 + int(np.flatnonzero((X.values == data[:, :1]).all(axis=0))[0])
+                with open(log, "a") as f:
+                    f.write(json.dumps([os.getpid(), lo, first]) + "\n")
+                if job is not None:
+                    job(lo, first)
+                return values(data, first=first, stop=stop)
 
-            write({"share": [job[:2] for job in jobs]})
-            worker(logged, jobs, out)
+            return threshold, logged
 
-        monkeypatch.setattr(detect, "_worker", spy)
+        monkeypatch.setitem(detect._RULES, method, (logged_rule, comparison))
+
+    @staticmethod
+    def expected_jobs(X):
+        cfg = validate_config(DetectionConfig(), X.p)
+        return sorted((lo, first) for lo, hi in screen(X, cfg).merged_intervals
+                      for first in range(0, hi - lo + 2 - cfg.d, BLOCK))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_job_runs_once_in_a_worker(self, tmp_path, forks, monkeypatch, method):
+        X, log = multi_interval_record(), tmp_path / "jobs.jsonl"
+        jobs = self.expected_jobs(X)
+        assert len(jobs) == 5
+        self.log_jobs(monkeypatch, log, X, method)
         forks.workers(2)
-        with pytest.raises(DegenerateChannelError, match=r"\(window 11\)$"):
-            localize(multi_interval_record(stuck=(431, 480)), DetectionConfig(), method="deht")
+        localize(X, DetectionConfig(), method=method)
         assert_no_child_left()
         entries = [json.loads(line) for line in log.read_text().splitlines()]
-        shares = {e["pid"]: e["share"] for e in entries if "share" in e}
-        assert sorted(map(tuple, sum(shares.values(), []))) == [
-            (0, 0), (0, 128), (0, 256), (1, 0), (2, 0)]
-        for pid, share in shares.items():
-            assert share == sorted(share)
-            runs = [e for e in entries if e["pid"] == pid and "ran" in e]
-            assert [e["ran"] for e in runs] == share[: len(runs)]
-            assert all(e["ok"] for e in runs[:-1])
-            assert runs[-1]["ok"] == (len(runs) == len(share))
-        assert shares[next(e["pid"] for e in entries if e.get("ran") == [0, 0])] == [
-            [0, 0], [0, 256], [1, 0]]
+        assert sorted((lo, first) for _, lo, first in entries) == jobs
+        # forks.pids holds only children, never the calling process
+        assert {pid for pid, _, _ in entries} <= set(forks.pids)
+
+    def test_stuck_record_runs_each_job_at_most_once(self, tmp_path, forks, monkeypatch):
+        # channel 5 stuck across windows 11..21 of the first interval fails
+        # its first job, the earliest of five
+        X, log = multi_interval_record(stuck=(431, 480)), tmp_path / "jobs.jsonl"
+        self.log_jobs(monkeypatch, log, X, "deht")
+        forks.workers(2)
+        with pytest.raises(DegenerateChannelError, match=r"\(window 11\)$"):
+            localize(X, DetectionConfig(), method="deht")
+        assert_no_child_left()
+        entries = [json.loads(line) for line in log.read_text().splitlines()]
+        ran, jobs = [(lo, first) for _, lo, first in entries], self.expected_jobs(X)
+        assert len(ran) == len(set(ran)) and set(ran) <= set(jobs) and min(jobs) in ran
+        assert {pid for pid, _, _ in entries} <= set(forks.pids)
+
+    def test_worker_that_dies_is_reported(self, tmp_path, forks, monkeypatch):
+        X, parent = multi_interval_record(), os.getpid()
+
+        def die(lo, first):
+            if first == BLOCK and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self.log_jobs(monkeypatch, tmp_path / "jobs.jsonl", X, "deht", job=die)
+        forks.workers(2)
+        with pytest.raises(FisherwatchError, match=r"^a scan worker ended without "
+                                                   r"returning its results$"):
+            localize(X, DetectionConfig(), method="deht")
+        assert len(forks.pids) == 2
+        assert_no_child_left()
 
 
 @st.composite
