@@ -162,14 +162,15 @@ def validate_config(cfg: DetectionConfig, p: int) -> DetectionConfig:
     # below about 2.2e-16 the quantile level 1 - alpha/2 rounds to 1
     if not 0.0 < alpha < 1.0 or 1.0 - alpha / 2.0 == 1.0:
         raise ConfigError(f"alpha={alpha} must lie in (0, 1), with 1 - alpha/2 < 1")
-    if kappa not in (1, 2):
-        raise ConfigError(f"kappa={kappa} must be 1 (complex) or 2 (real)")
-    # a fourth cumulant is at least -2 for real data (E x^4 >= (E x^2)^2)
-    # and at least -1 for complex data; below that nu_g can turn negative
-    if min(beta1, beta2) < -kappa:
+    # StateMatrix holds real values; kappa = 1 is the complex-data constant
+    if kappa != 2:
+        raise ConfigError(f"kappa={kappa} must be 2, the constant of real data")
+    # a fourth cumulant of real data is at least -2 (E x^4 >= (E x^2)^2);
+    # below that nu_g can turn negative
+    if min(beta1, beta2) < -2:
         raise ConfigError(
-            f"beta1={beta1} and beta2={beta2} must be at least "
-            f"-kappa={-kappa}, the smallest possible fourth cumulant"
+            f"beta1={beta1} and beta2={beta2} must be at least -2, "
+            f"the smallest possible fourth cumulant of real data"
         )
     return replace(
         cfg, D=D, d1=d1, d2=d2, s=s, alpha=alpha, kappa=kappa, beta1=beta1, beta2=beta2

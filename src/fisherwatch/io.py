@@ -37,7 +37,7 @@ def _csv_cell(text: str) -> str:
 def write_state_csv(path, X: StateMatrix, header: bool = True):
     """The bytes ``csv.writer`` would write. A float's repr never needs
     quoting, so only the ids go through csv."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         if header:
             fh.write(",".join(["channel", *map(str, range(1, X.T + 1))]) + "\r\n")
         for cid, row in zip(X.channel_ids, X.values):
@@ -55,9 +55,10 @@ def _data_cells(rec) -> Optional[np.ndarray]:
 def read_state_csv(path, transpose: bool = False) -> StateMatrix:
     """Parse a channel-per-row CSV; ``transpose`` accepts column-major exports."""
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig drops the BOM that a "CSV UTF-8" export starts with
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [(rec[0], _data_cells(rec)) for rec in csv.reader(fh) if rec]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -108,9 +109,13 @@ def _float_array(value, name: str) -> np.ndarray:
         raise ScenarioError(f"{name} must be a rectangular array of numbers") from exc
 
 
-def parse_scenario(doc: dict) -> Scenario:
+def parse_scenario(doc) -> Scenario:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"scenario must be a JSON object, got {type(doc).__name__}")
+    base = doc.get("base_cov", {"kind": "identity"})
+    if not isinstance(base, dict):
+        raise ScenarioError(f"base_cov must be a JSON object, got {type(base).__name__}")
     try:
-        base = doc.get("base_cov", {"kind": "identity"})
         events = []
         for i, e in enumerate(doc.get("events", []), 1):
             events.append(
@@ -157,12 +162,7 @@ def screen_report(result: ScreenResult, cfg: DetectionConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "screen",
-        "boundaries": list(result.boundaries),
-        "statistics": [o.L for o in result.outcomes],
-        "threshold": result.outcomes[0].threshold if result.outcomes else None,
-        "rejections": [bool(v) for v in result.rejections],
-        "raw_intervals": [list(iv) for iv in result.raw_intervals],
-        "merged_intervals": [list(iv) for iv in result.merged_intervals],
+        **asdict(result),
         "config": asdict(cfg),
     }
 
@@ -172,17 +172,8 @@ def detect_report(report: FaultReport, method: str) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "detect",
         "method": method,
-        "screened_intervals": [list(iv) for iv in report.screened_intervals],
-        "detections": [
-            {
-                "interval": list(d.interval),
-                "fault_time": d.fault_time,
-                "detector": d.detector,
-                "trigger_window": d.trigger_window,
-                "delay_samples": d.delay_samples,
-            }
-            for d in report.detections
-        ],
+        "screened_intervals": report.screened_intervals,
+        "detections": [asdict(d) for d in report.detections],
         "config": asdict(report.config),
     }
 
@@ -191,8 +182,9 @@ def write_screen_series(path, result: ScreenResult):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["boundary_index", "t_i", "L_i", "threshold", "reject"])
-        for i, o in enumerate(result.outcomes, start=1):
-            w.writerow([i, o.position, repr(o.L), repr(o.threshold), int(o.reject)])
+        rows = zip(result.boundaries, result.statistics, result.rejections)
+        for i, (t, L, reject) in enumerate(rows, start=1):
+            w.writerow([i, t, repr(L), repr(result.threshold), int(reject)])
 
 
 def write_detect_traces(path, report: FaultReport):

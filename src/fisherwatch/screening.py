@@ -3,7 +3,8 @@
 The record is cut at t_i = i*D; each boundary gets a two-sample
 covariance test between its neighbouring segments, and rejected
 neighbourhoods [t_{i-1}+1, t_{i+1}] are merged into disjoint candidate
-intervals. All sample indices in results are 1-based inclusive.
+intervals. All sample indices in results are 1-based inclusive. A
+:class:`ScreenResult` holds exactly the fields the screen report writes.
 """
 from __future__ import annotations
 
@@ -17,25 +18,15 @@ from .spectral import WindowSplit, fisher_trace_sq_dev, window_covariances
 
 
 @dataclass(frozen=True)
-class TestOutcome:
-    """One two-sample covariance test: statistic, threshold, verdict."""
-
-    L: float
-    threshold: float
-    reject: bool
-    position: int  # 1-based sample index of the tested boundary
-
-
-@dataclass(frozen=True)
 class ScreenResult:
+    """The screen's outcome, field for field as ``report.json`` writes it."""
+
     boundaries: tuple[int, ...]  # t_i = i*D, i = 1..N
-    outcomes: tuple[TestOutcome, ...]  # one per boundary
+    statistics: tuple[float, ...]  # L_i, one per boundary
+    threshold: float  # |L_i| >= threshold rejects boundary i
+    rejections: tuple[bool, ...]  # one per boundary
     raw_intervals: tuple[tuple[int, int], ...]
     merged_intervals: tuple[tuple[int, int], ...]
-
-    @property
-    def rejections(self) -> tuple[bool, ...]:
-        return tuple(o.reject for o in self.outcomes)
 
 
 def segment_boundaries(T: int, D: int) -> list[int]:
@@ -69,10 +60,8 @@ def merge_intervals(raw) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in merged]
 
 
-def _boundary_test(
-    X, lo: int, mid: int, hi: int, ctx: str, cfg: DetectionConfig, threshold: float
-) -> TestOutcome:
-    """Test H0: equal covariance across the boundary at column ``mid``.
+def _boundary_test(X, lo: int, mid: int, hi: int, ctx: str, cfg: DetectionConfig) -> float:
+    """The statistic L of H0: equal covariance across the boundary at column ``mid``.
 
     The columns [lo, hi) form one Fisher window with the earlier segment
     as reference and the later one as probe: a variance increase after
@@ -86,8 +75,7 @@ def _boundary_test(
     consts = clt_constants(
         p / (window.n2 - 1), p / (window.n1 - 1), cfg.kappa, cfg.beta1, cfg.beta2
     )
-    L = statistic_value(trace, p, consts)
-    return TestOutcome(L=L, threshold=threshold, reject=abs(L) >= threshold, position=mid)
+    return statistic_value(trace, p, consts)
 
 
 @single_threaded()
@@ -100,16 +88,17 @@ def screen(X: StateMatrix, cfg: DetectionConfig) -> ScreenResult:
     # (lo, mid, hi) 0-based half-open column ranges per boundary
     ends = [*boundaries[1:], T]
     segments = [(mid - D, mid, hi) for mid, hi in zip(boundaries, ends)]
-    outcomes = [
-        _boundary_test(
-            X.values, lo, mid, hi, f"boundary {i} at sample {mid}", cfg, threshold
-        )
+    statistics = tuple(
+        _boundary_test(X.values, lo, mid, hi, f"boundary {i} at sample {mid}", cfg)
         for i, (lo, mid, hi) in enumerate(segments, start=1)
-    ]
-    raw = [(lo + 1, hi) for (lo, _, hi), o in zip(segments, outcomes) if o.reject]
+    )
+    rejections = tuple(abs(L) >= threshold for L in statistics)
+    raw = [(lo + 1, hi) for (lo, _, hi), r in zip(segments, rejections) if r]
     return ScreenResult(
         boundaries=tuple(boundaries),
-        outcomes=tuple(outcomes),
+        statistics=statistics,
+        threshold=threshold,
+        rejections=rejections,
         raw_intervals=tuple(raw),
         merged_intervals=tuple(merge_intervals(raw)),
     )

@@ -44,3 +44,28 @@ def test_traced_kernels_run():
                "fisher_eigenvalues", "window_spectrum")
     assert set(times) == {f"spectral.{k}_us" for k in kernels}
     assert all(t > 0 for t in times.values())
+
+
+class Counter:
+    def __init__(self):
+        self.ops = []
+
+    def record(self, op, ok, message=""):
+        self.ops.append((op, ok, message))
+
+
+def test_traced_run_completes(tmp_path):
+    # the whole traced path, so a change to what it calls (detect_report's
+    # signature, the kappa field) fails here before the benchmark runs
+    traced = load_traced()
+    # p=20: at p <= 12 the default probe d1 = max(p - 10, 2) is 2 columns
+    # wide and seldom completes a run, so no detection would be serialized
+    doc = {"p": 20, "T": 720, "seed": 0, "noise_sigma": 1e-4,
+           "events": [{"tau": 360, "kind": "scale-subset", "channels": list(range(1, 9)),
+                       "factor": 5.0}]}
+    counter = Counter()
+    metrics, _, extra = traced.run(tmp_path, TRACED.parents[1] / "src", doc, seed=0,
+                                   seconds=0, counter=counter)
+    assert [op for op in counter.ops if not op[1]] == []
+    assert extra["localize_reports_identical"] is True
+    assert all(metrics[f"detect.detections_{m}"] >= 1 for m in traced.METHODS)

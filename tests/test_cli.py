@@ -166,7 +166,7 @@ class TestValidateNull:
         assert doc["seed"] == 12345
         assert 0.0 <= doc["empirical_size"] <= 1.0
 
-    @pytest.mark.parametrize("clt", [{"kappa": 1}, {"beta1": 1.5, "beta2": 1.5}])
+    @pytest.mark.parametrize("clt", [{"beta1": 1.5}, {"beta1": 1.5, "beta2": 1.5}])
     def test_config_sets_the_clt_constants(self, tmp_path, clt):
         argv = ["validate-null", "--reps", "100", "--p", "16", "--n1", "48", "--n2", "48",
                 "--esd-p", "8", "--esd-n", "32"]
@@ -224,6 +224,17 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("scenario-error:")
 
+    def test_scenario_not_an_object(self, tmp_path, capsys):
+        # each used to end in an AttributeError traceback
+        path = tmp_path / "scenario.json"
+        for doc, what, got in (([1, 2], "scenario", "list"),
+                               ({"p": 3, "T": 50, "base_cov": "identity"}, "base_cov", "str")):
+            path.write_text(json.dumps(doc))
+            code = main(["simulate", str(path), "--out-dir", str(tmp_path / "out")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"scenario-error: {what} must be a JSON object, got {got}\n"
+
     def test_scenario_event_of_wrong_size(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"p": 4, "T": 100, "events": [
@@ -272,7 +283,7 @@ class TestExitCodes:
         # out of bounds, of the wrong type (an integral float counts), or not an object
         bad = [{"alpha": 7.0}, {"D": 60.5}, {"d1": 30.0}, {"s": "16"}, {"s": 8.9},
                {"kappa": 2.7}, {"alpha": None}, {"alpha": "0.01"}, {"profile": ["x"]},
-               {"D": True}, {"beta1": float("nan")}, 5]
+               {"D": True}, {"beta1": float("nan")}, {"kappa": 1}, 5]
         cfg = tmp_path / "config.json"
         for doc in bad:
             cfg.write_text(json.dumps(doc))

@@ -116,6 +116,7 @@ class TestValidateConfig:
             {"D": True},
             {"beta1": float("nan")},
             {"alpha": 1e-17},
+            {"kappa": 1},
         ],
     )
     def test_constraint_violations(self, kwargs):

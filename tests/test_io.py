@@ -1,15 +1,16 @@
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from fisherwatch import io
-from fisherwatch.core import DetectionConfig, StateMatrix, validate_config
+from fisherwatch.core import DetectionConfig, DetectionRecord, StateMatrix, validate_config
+from fisherwatch.detect import localize
 from fisherwatch.errors import ConfigError, DataError, ScenarioError
 from fisherwatch.screening import screen
-from fisherwatch.simgen import Scenario, generate
+from fisherwatch.simgen import CovarianceEvent, Scenario, generate
 
 
 @pytest.fixture
@@ -42,6 +43,23 @@ class TestStateCsv:
                 )
         back = io.read_state_csv(path, transpose=True)
         assert np.array_equal(back.values, state.values)
+
+    def test_utf8_bom_is_not_a_channel(self, tmp_path):
+        # a "CSV UTF-8" export starts with a BOM; the header must stay a header
+        X = StateMatrix(values=np.arange(15.0).reshape(3, 5), channel_ids=("Zürich", "b", "c"))
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        io.write_state_csv(plain, X)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for path in (plain, bom):
+            back = io.read_state_csv(path)
+            assert back.channel_ids == X.channel_ids
+            assert np.array_equal(back.values, X.values)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("Z\xfcrich,1.0,2.0\nb,3.0,4.0\n".encode("latin-1"))
+        with pytest.raises(DataError):
+            io.read_state_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -205,8 +223,32 @@ class TestReportsAndManifest:
         doc = io.screen_report(result, cfg)
         assert doc["kind"] == "screen"
         assert doc["schema_version"] == io.SCHEMA_VERSION
+        assert set(doc) == {"schema_version", "kind", "config", "boundaries", "statistics",
+                            "threshold", "rejections", "raw_intervals", "merged_intervals"}
         assert len(doc["statistics"]) == len(doc["boundaries"])
-        assert all(isinstance(v, bool) for v in doc["rejections"])
+        assert isinstance(doc["threshold"], float)
+        assert all(type(v) is bool for v in doc["rejections"])
+        assert doc["config"] == asdict(cfg)
+
+    def test_detect_report_fields(self):
+        X, _ = generate(Scenario(p=20, T=1200, seed=0, events=(
+            CovarianceEvent(tau=600, kind="scale-subset", channels=tuple(range(1, 9)),
+                            factor=5.0),)))
+        report = localize(X, DetectionConfig(), method="deht", true_tau=600)
+        doc = io.detect_report(report, "deht")
+        assert set(doc) == {"schema_version", "kind", "method", "screened_intervals",
+                            "detections", "config"}
+        assert (doc["kind"], doc["method"]) == ("detect", "deht")
+        assert doc["detections"]
+        # every DetectionRecord field is published: a new one fails here
+        # until it is added to this set on purpose
+        keys = {"interval", "fault_time", "detector", "trigger_window", "delay_samples"}
+        assert {f.name for f in fields(DetectionRecord)} == keys
+        assert all(set(det) == keys for det in doc["detections"])
+        # tuples are written as the same JSON lists
+        assert json.loads(json.dumps(doc))["screened_intervals"] == [
+            list(iv) for iv in report.screened_intervals
+        ]
 
     def test_write_json_bytes_deterministic(self, tmp_path):
         doc = {"b": 1, "a": [1, 2], "c": {"z": 0, "y": 1}}

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fisherwatch.core import DetectionConfig, validate_config
 from fisherwatch.errors import RecordTooShortError
+from fisherwatch.rmt import rejection_threshold
 from fisherwatch.screening import (
     merge_intervals,
     screen,
@@ -86,10 +87,11 @@ class TestScreen:
         X = self.null_record()
         res = screen(X, cfg)
         assert res.boundaries == tuple(segment_boundaries(1200, cfg.D))
-        assert len(res.outcomes) == len(res.boundaries)
-        for o, t in zip(res.outcomes, res.boundaries):
-            assert o.position == t
-            assert o.reject == (abs(o.L) >= o.threshold)
+        assert len(res.statistics) == len(res.rejections) == len(res.boundaries)
+        assert res.threshold == rejection_threshold(cfg.alpha)
+        for L, reject in zip(res.statistics, res.rejections):
+            assert type(reject) is bool
+            assert reject == (abs(L) >= res.threshold)
 
     def test_raw_interval_construction(self, cfg):
         X = self.null_record(seed=3)
@@ -115,7 +117,7 @@ class TestScreen:
         res = screen(X, cfg)
         ends = [*res.boundaries[1:], T]
         assert ends[-1] - res.boundaries[-1] > D
-        for o, mid, hi in zip(res.outcomes, res.boundaries, ends):
+        for L_screen, mid, hi in zip(res.statistics, res.boundaries, ends):
             lo = mid - D
             cols = X.values[:, lo:hi]  # joint normalization of both segments
             Z = (cols - cols.mean(axis=1, keepdims=True)) / cols.std(
@@ -133,7 +135,7 @@ class TestScreen:
             mu = (2 * h2 * y2 + h2 - 2 * y2**3 + 3 * y2**2) / (1 - y2) ** 4
             nu = 2 * (2 * h2**2 + 4 * h2 * (h2 - y2**2 + 2 * y2) ** 2) / (1 - y2) ** 8
             L = (trace - p * Fg - mu) / np.sqrt(nu)
-            assert o.L == pytest.approx(L, rel=1e-8), mid
+            assert L_screen == pytest.approx(L, rel=1e-8), mid
 
     def test_captures_strong_covariance_change(self, cfg):
         tau = 600
