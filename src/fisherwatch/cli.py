@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 input/config error, 3 data-shape error. On
 failure stderr carries a single machine-parsable line ``<code>: <why>``.
-All output files are written after computation completes.
+Each command computes first and then writes through :func:`_publish`, so
+all output files are written after computation completes and the manifest
+covers exactly them. ``screen`` and ``detect`` leave resolving the config
+to the library call, which returns it with its result.
 """
 from __future__ import annotations
 
@@ -29,14 +32,19 @@ EXIT_INPUT = 2
 EXIT_SHAPE = 3
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_config(args):
     return io.parse_config(io.load_json(args.config)) if args.config else DetectionConfig()
+
+
+def _publish(args, subcommand: str, inputs, artifacts: dict, **manifest) -> int:
+    """Write ``artifacts[name](path)`` for each name in order under
+    ``--out-dir``, then the manifest over exactly those files."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in artifacts.items():
+        write(out / name)
+    io.write_manifest(out, subcommand, inputs, [out / name for name in artifacts], **manifest)
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -45,48 +53,29 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     X, truth = generate(scenario)
-    out = _out_dir(args)
-    data_path = out / "data.csv"
-    truth_path = out / "truth.json"
-    io.write_state_csv(data_path, X)
-    io.write_json(truth_path, {"schema_version": io.SCHEMA_VERSION, **truth})
-    io.write_manifest(
-        out, "simulate", [args.scenario], [data_path, truth_path],
-        seed=scenario.seed, config=doc,
-    )
-    return 0
+    truth = {"schema_version": io.SCHEMA_VERSION, **truth}
+    return _publish(args, "simulate", [args.scenario], {
+        "data.csv": lambda path: io.write_state_csv(path, X),
+        "truth.json": lambda path: io.write_json(path, truth),
+    }, seed=scenario.seed, config=doc)
 
 
 def cmd_screen(args) -> int:
     X = io.read_state_csv(args.data, transpose=args.transpose)
-    cfg = validate_config(_load_config(args), X.p)
-    result = screen(X, cfg)
-    out = _out_dir(args)
-    report_path = out / "report.json"
-    series_path = out / "series.csv"
-    io.write_json(report_path, io.screen_report(result, cfg))
-    io.write_screen_series(series_path, result)
-    io.write_manifest(
-        out, "screen", [args.data], [report_path, series_path],
-        config=asdict(cfg),
-    )
-    return 0
+    result = screen(X, _load_config(args))
+    return _publish(args, "screen", [args.data], {
+        "report.json": lambda path: io.write_json(path, io.screen_report(result)),
+        "series.csv": lambda path: io.write_screen_series(path, result),
+    }, config=asdict(result.config))
 
 
 def cmd_detect(args) -> int:
     X = io.read_state_csv(args.data, transpose=args.transpose)
-    cfg = validate_config(_load_config(args), X.p)
-    report = localize(X, cfg, method=args.method, true_tau=args.true_tau)
-    out = _out_dir(args)
-    report_path = out / "report.json"
-    traces_path = out / "traces.csv"
-    io.write_json(report_path, io.detect_report(report, args.method))
-    io.write_detect_traces(traces_path, report)
-    io.write_manifest(
-        out, "detect", [args.data], [report_path, traces_path],
-        config=asdict(cfg),
-    )
-    return 0
+    report = localize(X, _load_config(args), method=args.method, true_tau=args.true_tau)
+    return _publish(args, "detect", [args.data], {
+        "report.json": lambda path: io.write_json(path, io.detect_report(report, args.method)),
+        "traces.csv": lambda path: io.write_detect_traces(path, report),
+    }, config=asdict(report.config))
 
 
 def cmd_validate_null(args) -> int:
@@ -106,30 +95,22 @@ def cmd_validate_null(args) -> int:
         args.p, args.n1, args.n2, args.reps, alpha=cfg.alpha, seed=args.seed,
         knob="--n2", kappa=cfg.kappa, beta1=cfg.beta1, beta2=cfg.beta2,
     )
-    out = _out_dir(args)
-    calib_path = out / "calibration.json"
-    io.write_json(
-        calib_path,
-        {
-            "schema_version": io.SCHEMA_VERSION,
-            "reps": args.reps,
-            "p": args.p,
-            "n1": args.n1,
-            "n2": args.n2,
-            "esd_p": args.esd_p,
-            "esd_n": args.esd_n,
-            "alpha": cfg.alpha,
-            "seed": args.seed,
-            "ks_esd_vs_lsd": ks_esd,
-            **calib,
-        },
-    )
-    inputs = [args.config] if args.config else []
-    io.write_manifest(
-        out, "validate-null", inputs, [calib_path],
-        seed=args.seed, config=asdict(cfg),
-    )
-    return 0
+    doc = {
+        "schema_version": io.SCHEMA_VERSION,
+        "reps": args.reps,
+        "p": args.p,
+        "n1": args.n1,
+        "n2": args.n2,
+        "esd_p": args.esd_p,
+        "esd_n": args.esd_n,
+        "alpha": cfg.alpha,
+        "seed": args.seed,
+        "ks_esd_vs_lsd": ks_esd,
+        **calib,
+    }
+    return _publish(args, "validate-null", [args.config] if args.config else [], {
+        "calibration.json": lambda path: io.write_json(path, doc),
+    }, seed=args.seed, config=asdict(cfg))
 
 
 def cmd_bench(args) -> int:
@@ -148,21 +129,15 @@ def cmd_bench(args) -> int:
             "median_seconds": pystats.median(runs),
             "runs_seconds": runs,
         }
-    out = _out_dir(args)
-    timings_path = out / "timings.json"
-    io.write_json(
-        timings_path,
-        {
-            "schema_version": io.SCHEMA_VERSION,
-            "repeats": args.repeats,
-            "workers": scan_workers(),
-            "timings": timings,
-        },
-    )
-    io.write_manifest(
-        out, "bench", [args.data], [timings_path], config=asdict(cfg)
-    )
-    return 0
+    doc = {
+        "schema_version": io.SCHEMA_VERSION,
+        "repeats": args.repeats,
+        "workers": scan_workers(),
+        "timings": timings,
+    }
+    return _publish(args, "bench", [args.data], {
+        "timings.json": lambda path: io.write_json(path, doc),
+    }, config=asdict(cfg))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -220,13 +220,6 @@ def _scan_intervals(
     return results
 
 
-def _checked(cfg: DetectionConfig, p: int, method: str) -> DetectionConfig:
-    """``cfg`` resolved for p channels, once ``method`` is known."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return validate_config(cfg, p)
-
-
 @single_threaded()
 def scan(
     data: np.ndarray, cfg: DetectionConfig, interval: tuple[int, int], method: str
@@ -234,15 +227,17 @@ def scan(
     """Slide the window of ``method`` across the columns ``data`` of the
     1-based, inclusive ``interval`` (lo, hi).
 
-    ``cfg`` is resolved as in :func:`localize`. The threshold depends only
-    on (p, cfg), so it is computed once per interval. Returns the trace and
-    the first detection, if any.
+    ``cfg`` is resolved for the data's channels once ``method`` is known.
+    The threshold depends only on (p, cfg), so it is computed once per
+    interval. Returns the trace and the first detection, if any.
     """
     (lo, hi), width = interval, np.shape(data)[1]
     if lo < 1 or hi < lo or hi - lo + 1 != width:
         raise ShapeError(f"interval [{lo}, {hi}] (width {hi - lo + 1}) must start at "
                          f"sample 1 or later and match the data's width {width}")
-    cfg = _checked(cfg, np.shape(data)[0], method)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    cfg = validate_config(cfg, np.shape(data)[0])
     return _scan_intervals([(data, interval)], cfg, method)[0]
 
 
@@ -260,12 +255,15 @@ def localize(
 ) -> FaultReport:
     """Screen the record, then scan each merged interval with one detector.
 
-    All intervals' jobs run in one batch (see the module docstring).
-    Reports the first detection per interval; ``true_tau`` (1-based)
-    attaches the detection delay in samples.
+    Once ``method`` is known, ``cfg`` is resolved by the screen, and the
+    report carries the screen's config. All intervals' jobs run in one
+    batch (see the module docstring). Reports the first detection per
+    interval; ``true_tau`` (1-based) attaches the detection delay in samples.
     """
-    cfg = _checked(cfg, X.p, method)
-    intervals = screen(X, cfg).merged_intervals
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    screened = screen(X, cfg)
+    cfg, intervals = screened.config, screened.merged_intervals
     scanned = _SCANS[method]([(X.values[:, lo - 1 : hi], (lo, hi)) for lo, hi in intervals], cfg)
     traces, detections = [], []
     for trace, det in scanned:

@@ -91,14 +91,20 @@ def load_json(path) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _object(doc, what: str, keys: set, error=ScenarioError) -> dict:
+    """``doc``, refused by ``error`` unless it is a JSON object that sets only ``keys``."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - keys
+    if unknown:
+        raise error(f"unknown {what} keys: {sorted(unknown)}")
+    return doc
+
+
 def parse_config(doc) -> DetectionConfig:
     """The config a JSON document sets; its values are checked by validate_config."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - {f.name for f in fields(DetectionConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return DetectionConfig(**doc)
+    keys = {f.name for f in fields(DetectionConfig)}
+    return DetectionConfig(**_object(doc, "config", keys, ConfigError))
 
 
 def _float_array(value, name: str) -> np.ndarray:
@@ -109,48 +115,46 @@ def _float_array(value, name: str) -> np.ndarray:
         raise ScenarioError(f"{name} must be a rectangular array of numbers") from exc
 
 
+#: the keys a scenario document may set: at its top level, in base_cov and in each event
+SCENARIO_KEYS = {"p", "T", "base_cov", "events", "noise_sigma", "seed", "ar1"}
+BASE_COV_KEYS = {"kind", "rho", "matrix"}
+EVENT_KEYS = {f.name for f in fields(CovarianceEvent)}
+
+
+def _event(i: int, doc) -> CovarianceEvent:
+    """Event i (1-based) of a scenario document; a key it leaves out keeps
+    its field's default, and so does null where that default is None."""
+    e = _object(doc, f"event {i}", EVENT_KEYS)
+    convert = {
+        "tau": int,
+        "kind": lambda kind: kind,
+        "channels": lambda cs: tuple(int(c) for c in cs),
+        "factor": float,
+        "direction": lambda v: tuple(float(x) for x in v),
+        "strength": float,
+        "matrix": lambda m: _float_array(m, f"event {i} ({e['kind']}): matrix"),
+        "end": int,
+    }
+    optional = {"direction", "matrix", "end"}
+    return CovarianceEvent(**{
+        k: None if v is None and k in optional else convert[k](v) for k, v in e.items()
+    })
+
+
 def parse_scenario(doc) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"scenario must be a JSON object, got {type(doc).__name__}")
-    base = doc.get("base_cov", {"kind": "identity"})
-    if not isinstance(base, dict):
-        raise ScenarioError(f"base_cov must be a JSON object, got {type(base).__name__}")
+    """The scenario a JSON document sets; a key it leaves out keeps its field's default."""
+    doc = _object(doc, "scenario", SCENARIO_KEYS)
+    base = _object(doc.get("base_cov", {}), "base_cov", BASE_COV_KEYS)
     try:
-        events = []
-        for i, e in enumerate(doc.get("events", []), 1):
-            events.append(
-                CovarianceEvent(
-                    tau=int(e["tau"]),
-                    kind=e["kind"],
-                    channels=tuple(int(c) for c in e.get("channels", [])),
-                    factor=float(e.get("factor", 1.0)),
-                    direction=(
-                        tuple(float(v) for v in e["direction"])
-                        if e.get("direction") is not None
-                        else None
-                    ),
-                    strength=float(e.get("strength", 0.0)),
-                    matrix=(
-                        _float_array(e["matrix"], f"event {i} ({e['kind']}): matrix")
-                        if e.get("matrix") is not None
-                        else None
-                    ),
-                    end=int(e["end"]) if e.get("end") is not None else None,
-                )
-            )
+        events = tuple(_event(i, e) for i, e in enumerate(doc.get("events", []), 1))
+        convert = {"p": int, "T": int, "noise_sigma": float, "seed": int, "ar1": float}
+        kwargs = {k: convert[k](v) for k, v in doc.items() if k in convert}
+        if "kind" in base:
+            kwargs["base_cov_kind"] = base["kind"]
         params = {k: v for k, v in base.items() if k != "kind"}
         if "matrix" in params:
             params["matrix"] = _float_array(params["matrix"], "base_cov.matrix")
-        return Scenario(
-            p=int(doc["p"]),
-            T=int(doc["T"]),
-            base_cov_kind=base.get("kind", "identity"),
-            base_cov_params=params,
-            events=tuple(events),
-            noise_sigma=float(doc.get("noise_sigma", 1e-4)),
-            seed=int(doc.get("seed", 0)),
-            ar1=float(doc.get("ar1", 0.0)),
-        )
+        return Scenario(**kwargs, base_cov_params=params, events=events)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
@@ -158,13 +162,8 @@ def parse_scenario(doc) -> Scenario:
 # ---------------------------------------------------------------------------
 # Reports
 
-def screen_report(result: ScreenResult, cfg: DetectionConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "screen",
-        **asdict(result),
-        "config": asdict(cfg),
-    }
+def screen_report(result: ScreenResult) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": "screen", **asdict(result)}
 
 
 def detect_report(report: FaultReport, method: str) -> dict:

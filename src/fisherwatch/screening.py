@@ -4,7 +4,8 @@ The record is cut at t_i = i*D; each boundary gets a two-sample
 covariance test between its neighbouring segments, and rejected
 neighbourhoods [t_{i-1}+1, t_{i+1}] are merged into disjoint candidate
 intervals. All sample indices in results are 1-based inclusive. A
-:class:`ScreenResult` holds exactly the fields the screen report writes.
+:class:`ScreenResult` holds exactly the fields the screen report writes,
+the config that :func:`screen` resolved among them.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ class ScreenResult:
     rejections: tuple[bool, ...]  # one per boundary
     raw_intervals: tuple[tuple[int, int], ...]
     merged_intervals: tuple[tuple[int, int], ...]
+    config: DetectionConfig  # resolved by validate_config for the record's p
 
 
 def segment_boundaries(T: int, D: int) -> list[int]:
@@ -80,7 +82,7 @@ def _boundary_test(X, lo: int, mid: int, hi: int, ctx: str, cfg: DetectionConfig
 
 @single_threaded()
 def screen(X: StateMatrix, cfg: DetectionConfig) -> ScreenResult:
-    """Run all boundary tests and merge rejected neighbourhoods."""
+    """Run all boundary tests under ``cfg`` resolved for X; merge rejected neighbourhoods."""
     cfg = validate_config(cfg, X.p)
     T, D = X.T, cfg.D
     boundaries = segment_boundaries(T, D)
@@ -101,4 +103,5 @@ def screen(X: StateMatrix, cfg: DetectionConfig) -> ScreenResult:
         rejections=rejections,
         raw_intervals=tuple(raw),
         merged_intervals=tuple(merge_intervals(raw)),
+        config=cfg,
     )

@@ -69,3 +69,7 @@ def test_traced_run_completes(tmp_path):
     assert [op for op in counter.ops if not op[1]] == []
     assert extra["localize_reports_identical"] is True
     assert all(metrics[f"detect.detections_{m}"] >= 1 for m in traced.METHODS)
+    # zero where the program calls a writer or scan that the tracer never
+    # patched, such as a name bound at import
+    assert metrics["io.write_artifacts_s"] > 0
+    assert all(metrics[f"detect.scan_{m}_s"] > 0 for m in traced.METHODS)

@@ -203,6 +203,57 @@ class TestBench:
         assert "workers" not in (out / "report.json").read_text()
 
 
+class TestReportSchema:
+    def test_refuses_a_report_without_a_field_it_always_has(self, tmp_path, data_file):
+        docs = {}
+        for command in ("screen", "detect"):
+            assert main([command, str(data_file), "--out-dir", str(tmp_path / command)]) == 0
+            docs[command] = json.loads((tmp_path / command / "report.json").read_text())
+        docs["detect"]["detections"] = [{"interval": [1, 100], "fault_time": 50,
+                                         "detector": "dele", "trigger_window": 10,
+                                         "delay_samples": None}]
+        for doc in docs.values():
+            validate(doc, "report.schema.json")
+        broken = [
+            ("screen", lambda doc: doc.update(threshold=None)),
+            ("screen", lambda doc: doc.pop("threshold")),
+            ("screen", lambda doc: doc.pop("raw_intervals")),
+            ("screen", lambda doc: doc["config"].pop("D")),
+            ("detect", lambda doc: doc["config"].pop("profile")),
+            ("detect", lambda doc: doc["detections"][0].pop("trigger_window")),
+            ("detect", lambda doc: doc["detections"][0].pop("delay_samples")),
+        ]
+        for i, (kind, breaks) in enumerate(broken):
+            doc = json.loads(json.dumps(docs[kind]))
+            breaks(doc)
+            with pytest.raises(jsonschema.ValidationError):
+                validate(doc, "report.schema.json")
+                pytest.fail(f"case {i} was accepted")
+
+
+@pytest.mark.parametrize("command", ["simulate", "screen", "detect", "validate-null", "bench"])
+def test_manifest_lists_exactly_the_files_written(tmp_path, scenario_file, data_file, command):
+    argv = {
+        "simulate": ["simulate", str(scenario_file)],
+        "screen": ["screen", str(data_file)],
+        "detect": ["detect", str(data_file)],
+        "validate-null": ["validate-null", "--reps", "100", "--p", "10", "--n1", "30",
+                          "--n2", "30", "--esd-p", "10", "--esd-n", "40"],
+        "bench": ["bench", str(data_file), "--repeats", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["subcommand"] == command
+    assert sorted(f.name for f in out.iterdir()) == sorted([*manifest["artifacts"],
+                                                            "manifest.json"])
+    for name, digest in manifest["artifacts"].items():
+        assert io.sha256_of(out / name) == digest, name
+    if command in ("screen", "detect"):
+        report = json.loads((out / "report.json").read_text())
+        assert manifest["config"] == report["config"]
+
+
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["screen", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)])
@@ -234,6 +285,24 @@ class TestExitCodes:
             assert code == 2
             err = capsys.readouterr().err
             assert err == f"scenario-error: {what} must be a JSON object, got {got}\n"
+
+    @pytest.mark.parametrize("doc, why", [
+        ({"p": 4, "T": 100, "evnets": []}, "unknown scenario keys: ['evnets']"),
+        ({"p": 4, "T": 100, "events": [
+            {"tau": 10, "kind": "scale-subset", "channels": [1], "factor": 2.0},
+            {"tau": 50, "kind": "scale-subset", "chanels": [1], "factor": 2.0}]},
+         "unknown event 2 keys: ['chanels']"),
+        ({"p": 4, "T": 100, "base_cov": {"kind": "toeplitz", "rh0": 0.8}},
+         "unknown base_cov keys: ['rh0']"),
+    ], ids=["scenario", "event", "base-cov"])
+    def test_misspelled_scenario_key(self, tmp_path, capsys, doc, why):
+        # each used to be ignored: no events, a no-op event, rho = 0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"scenario-error: {why}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_scenario_event_of_wrong_size(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

@@ -514,7 +514,6 @@ def config_and_record(draw):
         d2=draw(st.none() | st.integers(p, 3 * p)),
         s=draw(st.none() | st.integers(1, 8)),
         alpha=draw(st.sampled_from([0.01, 0.05, 0.2])),
-        kappa=draw(st.sampled_from([1, 2])),
         beta1=draw(st.floats(-2.0, 5.0)),
         beta2=draw(st.floats(-2.0, 5.0)),
         profile=draw(st.sampled_from(["distribution", "transmission"])),

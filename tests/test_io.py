@@ -220,7 +220,7 @@ class TestReportsAndManifest:
         X, _ = generate(Scenario(p=20, T=600, seed=2))
         cfg = validate_config(DetectionConfig(), 20)
         result = screen(X, cfg)
-        doc = io.screen_report(result, cfg)
+        doc = io.screen_report(result)
         assert doc["kind"] == "screen"
         assert doc["schema_version"] == io.SCHEMA_VERSION
         assert set(doc) == {"schema_version", "kind", "config", "boundaries", "statistics",

@@ -93,6 +93,10 @@ class TestScreen:
             assert type(reject) is bool
             assert reject == (abs(L) >= res.threshold)
 
+    def test_result_carries_the_resolved_config(self):
+        X = self.null_record()
+        assert screen(X, DetectionConfig()).config == validate_config(DetectionConfig(), X.p)
+
     def test_raw_interval_construction(self, cfg):
         X = self.null_record(seed=3)
         res = screen(X, cfg)
