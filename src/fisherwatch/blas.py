@@ -101,16 +101,11 @@ def _extension(name: str, directory: Path):
     """
     if name in sys.modules:
         return sys.modules[name]
-    stem = name.rpartition(".")[2]
-    suffixes = importlib.machinery.EXTENSION_SUFFIXES
-    for suffix in suffixes:
-        path = directory / (stem + suffix)
-        if path.is_file():
-            break
-    else:
-        raise ImportError(f"{name}: no file {stem}{{{','.join(suffixes)}}} in {directory}",
-                          name=name)
-    spec = importlib.util.spec_from_file_location(name, path)
+    spec = importlib.machinery.PathFinder.find_spec(name, [str(directory)])
+    if spec is None:
+        stem = name.rpartition(".")[2]
+        suffixes = ",".join(importlib.machinery.EXTENSION_SUFFIXES)
+        raise ImportError(f"{name}: no file {stem}{{{suffixes}}} in {directory}", name=name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[name] = module

@@ -10,7 +10,6 @@ to the library call, which returns it with its result.
 from __future__ import annotations
 
 import argparse
-import json
 import statistics as pystats
 import sys
 import time
@@ -197,7 +196,7 @@ def main(argv=None) -> int:
     except ShapeError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (FisherwatchError, ValueError, json.JSONDecodeError) as exc:
+    except (FisherwatchError, OSError, ValueError) as exc:
         code = getattr(exc, "code", "input-error")
         print(f"{code}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -104,10 +104,9 @@ class DetectionConfig:
         return self.d1 + self.d2
 
 
-def _integer(cfg: DetectionConfig, name: str) -> int:
-    value = getattr(cfg, name)
+def _integer(value, name: str, error=ConfigError) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name}={value!r} must be an integer")
+        raise error(f"{name}={value!r} must be an integer")
     return int(value)
 
 
@@ -133,11 +132,11 @@ def validate_config(cfg: DetectionConfig, p: int) -> DetectionConfig:
     if not isinstance(cfg.profile, str) or cfg.profile not in PROFILES:
         raise ConfigError(f"unknown profile {cfg.profile!r}")
     prof = PROFILES[cfg.profile]
-    d1 = max(p - 10, 2) if cfg.d1 is None else _integer(cfg, "d1")
-    d2 = p + 10 if cfg.d2 is None else _integer(cfg, "d2")
-    D = max(prof["D"](p), (d1 + d2 + 1) // 2) if cfg.D is None else _integer(cfg, "D")
-    s = prof["s"] if cfg.s is None else _integer(cfg, "s")
-    kappa = _integer(cfg, "kappa")
+    d1 = max(p - 10, 2) if cfg.d1 is None else _integer(cfg.d1, "d1")
+    d2 = p + 10 if cfg.d2 is None else _integer(cfg.d2, "d2")
+    D = max(prof["D"](p), (d1 + d2 + 1) // 2) if cfg.D is None else _integer(cfg.D, "D")
+    s = prof["s"] if cfg.s is None else _integer(cfg.s, "s")
+    kappa = _integer(cfg.kappa, "kappa")
     alpha, beta1, beta2 = (_real(cfg, name) for name in ("alpha", "beta1", "beta2"))
 
     if d2 < p + 2:

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DetectionConfig, FaultReport, StateMatrix
-from .errors import ConfigError, DataError, ScenarioError, ShapeError
+from .core import DetectionConfig, FaultReport, StateMatrix, _integer
+from .errors import ConfigError, DataError, ScenarioError
 from .screening import ScreenResult
 from .simgen import CovarianceEvent, Scenario
 
@@ -34,12 +34,11 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def write_state_csv(path, X: StateMatrix, header: bool = True):
+def write_state_csv(path, X: StateMatrix):
     """The bytes ``csv.writer`` would write. A float's repr never needs
     quoting, so only the ids go through csv."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header:
-            fh.write(",".join(["channel", *map(str, range(1, X.T + 1))]) + "\r\n")
+        fh.write(",".join(["channel", *map(str, range(1, X.T + 1))]) + "\r\n")
         for cid, row in zip(X.channel_ids, X.values):
             fh.write(f"{_csv_cell(cid)},{','.join(map(repr, row.tolist()))}\r\n")
 
@@ -121,19 +120,24 @@ BASE_COV_KEYS = {"kind", "rho", "matrix"}
 EVENT_KEYS = {f.name for f in fields(CovarianceEvent)}
 
 
+def _scenario_integer(name: str):
+    """A converter that refuses anything but a JSON integer for ``name``."""
+    return lambda value: _integer(value, name, ScenarioError)
+
+
 def _event(i: int, doc) -> CovarianceEvent:
     """Event i (1-based) of a scenario document; a key it leaves out keeps
     its field's default, and so does null where that default is None."""
     e = _object(doc, f"event {i}", EVENT_KEYS)
     convert = {
-        "tau": int,
+        "tau": _scenario_integer(f"event {i}: tau"),
         "kind": lambda kind: kind,
-        "channels": lambda cs: tuple(int(c) for c in cs),
+        "channels": lambda cs: tuple(map(_scenario_integer(f"event {i}: channels"), cs)),
         "factor": float,
         "direction": lambda v: tuple(float(x) for x in v),
         "strength": float,
         "matrix": lambda m: _float_array(m, f"event {i} ({e['kind']}): matrix"),
-        "end": int,
+        "end": _scenario_integer(f"event {i}: end"),
     }
     optional = {"direction", "matrix", "end"}
     return CovarianceEvent(**{
@@ -147,7 +151,8 @@ def parse_scenario(doc) -> Scenario:
     base = _object(doc.get("base_cov", {}), "base_cov", BASE_COV_KEYS)
     try:
         events = tuple(_event(i, e) for i, e in enumerate(doc.get("events", []), 1))
-        convert = {"p": int, "T": int, "noise_sigma": float, "seed": int, "ar1": float}
+        convert = {"p": _scenario_integer("p"), "T": _scenario_integer("T"),
+                   "noise_sigma": float, "seed": _scenario_integer("seed"), "ar1": float}
         kwargs = {k: convert[k](v) for k, v in doc.items() if k in convert}
         if "kind" in base:
             kwargs["base_cov_kind"] = base["kind"]

@@ -7,7 +7,7 @@ compose left-to-right and multiply their effects on the covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

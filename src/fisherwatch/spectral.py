@@ -26,7 +26,7 @@ a range that opens on the grid reads the whole scan's values exactly.
 The screen's kernels (:func:`fisher_trace_sq_dev` and what it calls)
 run on numpy alone, so ``screen`` loads no scipy. The engines and
 :func:`fisher_eigenvalues` call scipy's f2py BLAS and LAPACK wrappers
-(``dger``, ``dgemv``, ``ddot``, ``dpotri``, ``dstev``, ``dsyevx``,
+(``dger``, ``dgemv``, ``dnrm2``, ``dpotri``, ``dstev``, ``dsyevx``,
 ``dsygvd``) from :func:`~fisherwatch.blas.scipy_blas_lapack`, which
 loads those two compiled modules, not the ``scipy.linalg`` package, on
 first use and pins their pool then.
@@ -149,8 +149,7 @@ def sample_covariance(segment: np.ndarray) -> np.ndarray:
     if segment.ndim != 2 or segment.shape[1] < 2:
         raise ShapeError("segment must be p x n with n >= 2")
     centered = segment - segment.mean(axis=1, keepdims=True)
-    S = centered @ centered.T / (segment.shape[1] - 1)
-    return 0.5 * (S + S.T)
+    return centered @ centered.T / (segment.shape[1] - 1)
 
 
 def _cholesky_spd(S2: np.ndarray, context: str = "", knob: str = "d2") -> np.ndarray:

@@ -340,6 +340,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"scenario-error: {field} must be a rectangular array of numbers\n"
 
+    @pytest.mark.parametrize("doc, why", [
+        ({"p": 4.9, "T": 100}, "p=4.9"),
+        ({"p": 4, "T": "100"}, "T='100'"),
+        ({"p": 4, "T": 100, "seed": 2.7}, "seed=2.7"),
+        ({"p": 4, "T": 100, "events": [
+            {"tau": 50.9, "kind": "scale-subset", "channels": [1], "factor": 2.0}]},
+         "event 1: tau=50.9"),
+        ({"p": 4, "T": 100, "events": [
+            {"tau": 50, "kind": "scale-subset", "channels": [1], "factor": 2.0, "end": 60.5}]},
+         "event 1: end=60.5"),
+        ({"p": 4, "T": 100, "events": [
+            {"tau": 50, "kind": "scale-subset", "channels": [1.8, 2], "factor": 2.0}]},
+         "event 1: channels=1.8"),
+    ], ids=["p", "T", "seed", "tau", "end", "channels"])
+    def test_scenario_integer_field(self, tmp_path, capsys, doc, why):
+        # each used to be truncated, or read from its string
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"scenario-error: {why} must be an integer\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("command", ["simulate", "screen", "detect", "validate-null",
+                                         "bench"])
+    def test_unusable_out_dir(self, tmp_path, capsys, scenario_file, data_file, command,
+                              below):
+        # each used to end in a FileExistsError or NotADirectoryError traceback
+        argv = {
+            "simulate": [str(scenario_file)],
+            "validate-null": ["--reps", "100", "--p", "4", "--n1", "10", "--n2", "10",
+                              "--esd-p", "3", "--esd-n", "10"],
+            "bench": [str(data_file), "--repeats", "1"],
+        }.get(command, [str(data_file)])
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "out" if below else taken
+        assert main([command, *argv, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input-error: ") and err.count("\n") == 1, err
+        assert taken.read_text() == "kept\n"
+
     def test_shape_error_exit_three(self, tmp_path, capsys):
         # record far too short for any segmentation
         path = tmp_path / "short.csv"

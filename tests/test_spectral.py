@@ -89,6 +89,12 @@ class TestSampleCovariance:
     def test_symmetric(self):
         S = sample_covariance(np.random.default_rng(3).standard_normal((6, 20)))
         assert np.array_equal(S, S.T)
+        # exactly, unaveraged, on strided views of rows scaled from 0.1 to 1e3
+        for p in (2, 40, 200):
+            rng = np.random.default_rng(p)
+            scales = np.geomspace(0.1, 1e3, 2 * p)[:, None]
+            S = sample_covariance((rng.standard_normal((2 * p, 3 * (p + 5))) * scales)[::2, ::3])
+            assert np.array_equal(S, S.T), p
 
     def test_subtracts_residual_mean(self):
         seg = np.random.default_rng(4).standard_normal((3, 15)) + 100.0
