@@ -5,7 +5,6 @@ from .core import (
     DetectionRecord,
     FaultReport,
     StateMatrix,
-    build_state_matrix,
     validate_config,
 )
 from .detect import DetectorTrace, localize, run_rule, scan
@@ -40,7 +39,6 @@ __all__ = [
     "DetectionRecord",
     "FaultReport",
     "StateMatrix",
-    "build_state_matrix",
     "validate_config",
     "DetectorTrace",
     "localize",

@@ -10,15 +10,13 @@ to the library call, which returns it with its result.
 from __future__ import annotations
 
 import argparse
-import statistics as pystats
 import sys
-import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import io
 from .core import DetectionConfig, validate_config
-from .detect import METHODS, localize, scan_workers
+from .detect import METHODS, localize
 from .errors import ConfigError, FisherwatchError, ShapeError
 from .screening import screen
 from .simgen import generate
@@ -112,33 +110,6 @@ def cmd_validate_null(args) -> int:
     }, seed=args.seed, config=asdict(cfg))
 
 
-def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
-    X = io.read_state_csv(args.data, transpose=args.transpose)
-    cfg = validate_config(_load_config(args), X.p)
-    timings = {}
-    for method in METHODS:
-        runs = []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            localize(X, cfg, method=method)
-            runs.append(time.perf_counter() - t0)
-        timings[method] = {
-            "median_seconds": pystats.median(runs),
-            "runs_seconds": runs,
-        }
-    doc = {
-        "schema_version": io.SCHEMA_VERSION,
-        "repeats": args.repeats,
-        "workers": scan_workers(),
-        "timings": timings,
-    }
-    return _publish(args, "bench", [args.data], {
-        "timings.json": lambda path: io.write_json(path, doc),
-    }, config=asdict(cfg))
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fisherwatch",
@@ -181,10 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--seed", type=int, default=DEFAULT_SEED)
     val.add_argument("--out-dir", required=True)
     val.set_defaults(func=cmd_validate_null)
-
-    ben = data_cmd("bench", "time the three detectors on one input")
-    ben.add_argument("--repeats", type=int, default=5)
-    ben.set_defaults(func=cmd_bench)
 
     return ap
 

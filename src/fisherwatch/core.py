@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -22,6 +22,16 @@ PROFILES = {
     "distribution": {"s": 16, "D": lambda p: 3 * p},
     "transmission": {"s": 9, "D": lambda p: p + 24},
 }
+
+
+def check_finite(values: np.ndarray, first_sample: int = 1) -> None:
+    """Raise :class:`DataError` at the first non-finite entry of the
+    channels x samples ``values``, whose column 0 is sample ``first_sample``."""
+    if not np.isfinite(values).all():
+        bad = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(
+            f"non-finite entry at channel {bad[0] + 1}, sample {bad[1] + first_sample}"
+        )
 
 
 @dataclass(frozen=True)
@@ -42,11 +52,7 @@ class StateMatrix:
             raise ShapeError(
                 f"{len(self.channel_ids)} channel ids for {p} channels"
             )
-        if not np.isfinite(v).all():
-            bad = np.argwhere(~np.isfinite(v))[0]
-            raise DataError(
-                f"non-finite entry at channel {bad[0] + 1}, sample {bad[1] + 1}"
-            )
+        check_finite(v)
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -59,24 +65,6 @@ class StateMatrix:
     @property
     def T(self) -> int:
         return self.values.shape[1]
-
-
-def build_state_matrix(
-    rows: Sequence[Sequence[float]],
-    channel_ids: Optional[Sequence[str]] = None,
-) -> StateMatrix:
-    """Stack equal-length channel series into a state matrix, row order preserved."""
-    if len(rows) < 2:
-        raise ShapeError(f"need at least 2 channel series, got {len(rows)}")
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1:
-        raise ShapeError(f"ragged channel series, lengths {sorted(lengths)}")
-    if channel_ids is None:
-        channel_ids = [f"ch{i + 1}" for i in range(len(rows))]
-    return StateMatrix(
-        values=np.asarray(rows, dtype=float),
-        channel_ids=tuple(channel_ids),
-    )
 
 
 @dataclass(frozen=True)

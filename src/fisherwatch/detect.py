@@ -48,6 +48,7 @@ from .core import (
     DetectionRecord,
     FaultReport,
     StateMatrix,
+    check_finite,
     validate_config,
 )
 from .errors import FisherwatchError, ShapeError
@@ -229,12 +230,15 @@ def scan(
 
     ``cfg`` is resolved for the data's channels once ``method`` is known.
     The threshold depends only on (p, cfg), so it is computed once per
-    interval. Returns the trace and the first detection, if any.
+    interval. Returns the trace and the first detection, if any. A
+    non-finite entry raises the :class:`DataError` of ``StateMatrix``,
+    at its sample in the record.
     """
     (lo, hi), width = interval, np.shape(data)[1]
     if lo < 1 or hi < lo or hi - lo + 1 != width:
         raise ShapeError(f"interval [{lo}, {hi}] (width {hi - lo + 1}) must start at "
                          f"sample 1 or later and match the data's width {width}")
+    check_finite(data, lo)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     cfg = validate_config(cfg, np.shape(data)[0])

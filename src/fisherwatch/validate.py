@@ -75,22 +75,3 @@ def esd_vs_lsd_ks(p, n, seed=0, knob="n") -> float:
         raise ConfigError(f"{knob} must be at least p + 2 = {p + 2}, got {n}")
     params = support_edges(spec.y_tau, spec.y_T)
     return _ks_distance(spec.eigenvalues, lambda x: lsd_cdf(x, params))
-
-
-@single_threaded()
-def edge_exceedance(p, n1, n2, reps, seed=0, slack=1.05) -> dict:
-    """How often the top eigenvalue escapes the support edge b under H0."""
-    rng = np.random.default_rng(seed)
-    b = support_edges(p / (n1 - 1), p / (n2 - 1)).b
-    above = above_slack = 0
-    for _ in range(reps):
-        S1, S2 = _draw_covariances(rng, p, n1, n2)
-        l1 = fisher_eigenvalues(S1, S2, n1, n2, knob="n2").largest
-        above += l1 > b
-        above_slack += l1 > slack * b
-    return {
-        "edge": b,
-        "rate_above_edge": above / reps,
-        "rate_above_slack_edge": above_slack / reps,
-        "slack": slack,
-    }

@@ -1,5 +1,6 @@
+import argparse
 import json
-import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -11,7 +12,7 @@ import pytest
 
 import fisherwatch
 from fisherwatch import io
-from fisherwatch.cli import main
+from fisherwatch.cli import build_parser, main
 from fisherwatch.core import StateMatrix
 from fisherwatch.detect import METHODS
 from fisherwatch.simgen import Scenario, generate
@@ -187,16 +188,7 @@ class TestValidateNull:
         assert capsys.readouterr().err.startswith("config-error:")
 
 
-class TestBench:
-    def test_timings_schema(self, tmp_path, data_file):
-        out = tmp_path / "out"
-        code = main(["bench", str(data_file), "--repeats", "1", "--out-dir", str(out)])
-        assert code == 0
-        doc = json.loads((out / "timings.json").read_text())
-        validate(doc, "timings.schema.json")
-        assert set(doc["timings"]) == {"dele", "deht", "mp"}
-        assert doc["workers"] == len(os.sched_getaffinity(0))
-
+class TestWorkerCount:
     def test_report_does_not_name_the_worker_count(self, tmp_path, data_file):
         out = tmp_path / "out"
         assert main(["detect", str(data_file), "--out-dir", str(out)]) == 0
@@ -231,7 +223,7 @@ class TestReportSchema:
                 pytest.fail(f"case {i} was accepted")
 
 
-@pytest.mark.parametrize("command", ["simulate", "screen", "detect", "validate-null", "bench"])
+@pytest.mark.parametrize("command", ["simulate", "screen", "detect", "validate-null"])
 def test_manifest_lists_exactly_the_files_written(tmp_path, scenario_file, data_file, command):
     argv = {
         "simulate": ["simulate", str(scenario_file)],
@@ -239,7 +231,6 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, scenario_file, data_
         "detect": ["detect", str(data_file)],
         "validate-null": ["validate-null", "--reps", "100", "--p", "10", "--n1", "30",
                           "--n2", "30", "--esd-p", "10", "--esd-n", "40"],
-        "bench": ["bench", str(data_file), "--repeats", "1"],
     }[command]
     out = tmp_path / "out"
     assert main([*argv, "--out-dir", str(out)]) == 0
@@ -253,6 +244,14 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, scenario_file, data_
         report = json.loads((out / "report.json").read_text())
         assert manifest["config"] == report["config"]
 
+
+def test_readme_usage_shows_exactly_the_parser_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    usage = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = set(re.findall(r"^fisherwatch ([\w-]+)", usage, flags=re.MULTILINE))
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert shown == set(sub.choices)
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -364,8 +363,7 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
-    @pytest.mark.parametrize("command", ["simulate", "screen", "detect", "validate-null",
-                                         "bench"])
+    @pytest.mark.parametrize("command", ["simulate", "screen", "detect", "validate-null"])
     def test_unusable_out_dir(self, tmp_path, capsys, scenario_file, data_file, command,
                               below):
         # each used to end in a FileExistsError or NotADirectoryError traceback
@@ -373,7 +371,6 @@ class TestExitCodes:
             "simulate": [str(scenario_file)],
             "validate-null": ["--reps", "100", "--p", "4", "--n1", "10", "--n2", "10",
                               "--esd-p", "3", "--esd-n", "10"],
-            "bench": [str(data_file), "--repeats", "1"],
         }.get(command, [str(data_file)])
         taken = tmp_path / "taken"
         taken.write_text("kept\n")
@@ -407,7 +404,7 @@ class TestExitCodes:
                 assert err.startswith("config-error:"), (command, doc, err)
                 assert err.rstrip().count("\n") == 0, (command, doc, err)
 
-    def test_bad_sample_sizes(self, tmp_path, data_file, capsys):
+    def test_bad_sample_sizes(self, tmp_path, capsys):
         # each used to end in a traceback or in an error that named no flag
         bad = [
             (["validate-null", "--p", "0"], "--p"),
@@ -420,7 +417,6 @@ class TestExitCodes:
             (["validate-null", "--esd-n", "1"], "--esd-n"),
             (["validate-null", "--esd-p", "3", "--esd-n", "4"], "--esd-n"),
             (["validate-null", "--seed", "-1"], "--seed"),
-            (["bench", str(data_file), "--repeats", "0"], "--repeats"),
         ]
         for argv, flag in bad:
             code = main([*argv, "--out-dir", str(tmp_path / "out")])

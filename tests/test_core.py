@@ -11,7 +11,6 @@ from fisherwatch.core import (
     DetectionRecord,
     FaultReport,
     StateMatrix,
-    build_state_matrix,
     validate_config,
 )
 from fisherwatch.errors import ConfigError, DataError, ShapeError
@@ -48,20 +47,6 @@ class TestStateMatrix:
         v[1, 2] = np.nan
         with pytest.raises(DataError, match="channel 2, sample 3"):
             StateMatrix(values=v, channel_ids=("a", "b", "c"))
-
-
-class TestBuildStateMatrix:
-    def test_default_channel_ids(self):
-        X = build_state_matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert X.channel_ids == ("ch1", "ch2")
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(ShapeError):
-            build_state_matrix([[1.0, 2.0], [3.0]])
-
-    def test_single_row_rejected(self):
-        with pytest.raises(ShapeError):
-            build_state_matrix([[1.0, 2.0]])
 
 
 class TestValidateConfig:

@@ -14,6 +14,7 @@ from fisherwatch.core import DetectionConfig, StateMatrix, validate_config
 from fisherwatch.detect import BLOCK, METHODS, localize, run_rule, scan
 from fisherwatch.errors import (
     ConfigError,
+    DataError,
     DegenerateChannelError,
     FisherwatchError,
     RecordTooShortError,
@@ -152,6 +153,16 @@ class TestScans:
         data = event_record(T=1300, tau=1118).values[:, 900:1300]
         with pytest.raises(ShapeError, match=message):
             scan(data, DetectionConfig(), interval, "deht")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_entry_refused(self, method, bad):
+        # deht used to scan on to NaN values, dele and mp to a LAPACK error
+        data = event_record(p=10, T=300, tau=250, factor=4.0, seed=5).values[:, 100:].copy()
+        data[3, 50] = bad
+        with pytest.raises(DataError) as err:
+            scan(data, DetectionConfig(), (101, 300), method)
+        assert str(err.value) == "non-finite entry at channel 4, sample 151"
 
     @pytest.mark.parametrize("method", METHODS)
     def test_default_config_is_resolved(self, method):
