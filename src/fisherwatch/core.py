@@ -72,9 +72,10 @@ class DetectionConfig:
     """Tuning parameters for screening and point-by-point detection.
 
     Unset (None) window fields are filled from the profile defaults by
-    :func:`validate_config`: d1 = max(p - 10, 2), d2 = p + 10, D per
-    profile but at least ceil(d / 2), plus the profile's
-    consecutive-rejection count s.
+    :func:`validate_config`: d1 = max(p - 10, 2), d2 = p + 10, the
+    profile's consecutive-rejection count s, and D per profile but at
+    least ceil((d + s - 1) / 2), so that the narrowest screened interval
+    holds s windows.
     """
 
     D: Optional[int] = None
@@ -113,7 +114,8 @@ def validate_config(cfg: DetectionConfig, p: int) -> DetectionConfig:
     beta1 and beta2 as ``float``; validating it again gives an equal
     config. The bounds keep every aspect ratio p/(n-1) of a reference
     block below 1 and let every screened interval, at least 2D wide,
-    hold one window.
+    hold one window; a default D lets it hold s windows, so that a run
+    of s flags can complete.
     """
     if p < 2:
         raise ConfigError(f"need p >= 2 channels, got p={p}")
@@ -122,8 +124,11 @@ def validate_config(cfg: DetectionConfig, p: int) -> DetectionConfig:
     prof = PROFILES[cfg.profile]
     d1 = max(p - 10, 2) if cfg.d1 is None else _integer(cfg.d1, "d1")
     d2 = p + 10 if cfg.d2 is None else _integer(cfg.d2, "d2")
-    D = max(prof["D"](p), (d1 + d2 + 1) // 2) if cfg.D is None else _integer(cfg.D, "D")
     s = prof["s"] if cfg.s is None else _integer(cfg.s, "s")
+    if s < 1:
+        raise ConfigError(f"consecutive count s={s} must be >= 1")
+    # 2D - d + 1 >= s windows fit in an interval 2D wide
+    D = max(prof["D"](p), (d1 + d2 + s) // 2) if cfg.D is None else _integer(cfg.D, "D")
     kappa = _integer(cfg.kappa, "kappa")
     alpha, beta1, beta2 = (_real(cfg, name) for name in ("alpha", "beta1", "beta2"))
 
@@ -144,8 +149,6 @@ def validate_config(cfg: DetectionConfig, p: int) -> DetectionConfig:
             f"window width d1+d2={d1 + d2} exceeds 2D={2 * D}, the narrowest "
             f"screened interval"
         )
-    if s < 1:
-        raise ConfigError(f"consecutive count s={s} must be >= 1")
     # below about 2.2e-16 the quantile level 1 - alpha/2 rounds to 1
     if not 0.0 < alpha < 1.0 or 1.0 - alpha / 2.0 == 1.0:
         raise ConfigError(f"alpha={alpha} must lie in (0, 1), with 1 - alpha/2 < 1")

@@ -77,8 +77,6 @@ BLOCK = 2 * REFRESH
 class DetectorTrace:
     """Per-window values of one detector over one interval."""
 
-    detector: str
-    interval: tuple[int, int]  # 1-based inclusive sample range
     values: np.ndarray  # lambda_1k, |L_k| or lambda_max, window k = 1..K
     threshold: float
     flags: np.ndarray
@@ -210,7 +208,7 @@ def _scan_intervals(
     for i, (_, interval) in enumerate(blocks):
         v = np.concatenate([v for (j, _, _), v in zip(jobs, values) if j == i])
         flags = comparison(v, threshold)
-        trace = DetectorTrace(method, interval, v, threshold, flags)
+        trace = DetectorTrace(v, threshold, flags)
         k_s = run_rule(flags, cfg.s)
         results.append((trace, None if k_s is None else DetectionRecord(
             interval=interval,

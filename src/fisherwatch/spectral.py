@@ -113,7 +113,6 @@ class FisherSpectrum:
     eigenvalues: np.ndarray  # sorted descending, length p
     y_tau: float  # p / (n1 - 1)
     y_T: float  # p / (n2 - 1)
-    trace_sq_dev: float  # sum_i (lambda_i - 1)^2 = tr{(F - I)^2}
 
     @property
     def largest(self) -> float:
@@ -205,7 +204,6 @@ def fisher_eigenvalues(
         eigenvalues=lam,
         y_tau=p / (n1 - 1),
         y_T=p / (n2 - 1),
-        trace_sq_dev=float(np.sum((lam - 1.0) ** 2)),
     )
 
 

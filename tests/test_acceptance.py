@@ -249,7 +249,8 @@ def test_criterion_07_oracle_equivalences():
         ref = np.sort(np.linalg.eigvals(S1 @ np.linalg.inv(S2)).real)[::-1]
         worst_eig = max(worst_eig, float(np.max(np.abs(spec.eigenvalues - ref) / ref)))
         direct = fisher_trace_sq_dev(S1, S2)
-        rel = abs(direct - spec.trace_sq_dev) / spec.trace_sq_dev
+        from_eigenvalues = float(np.sum((spec.eigenvalues - 1.0) ** 2))
+        rel = abs(direct - from_eigenvalues) / from_eigenvalues
         worst_trace = max(worst_trace, rel)
     q = gaussian_quantile(0.995)
     ok = worst_eig < 1e-6 and worst_trace < 1e-8 and abs(q - 2.5758293) < 1e-6

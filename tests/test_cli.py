@@ -253,6 +253,16 @@ def test_readme_usage_shows_exactly_the_parser_commands():
                if isinstance(action, argparse._SubParsersAction))
     assert shown == set(sub.choices)
 
+
+def test_readme_library_example_prints_a_detection(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    # each detection prints its fault time and delay
+    assert any(re.fullmatch(r"\d+ -?\d+", line) for line in printed), printed
+
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["screen", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)])
@@ -403,6 +413,25 @@ class TestExitCodes:
                 assert code == 2, (command, doc, err)
                 assert err.startswith("config-error:"), (command, doc, err)
                 assert err.rstrip().count("\n") == 0, (command, doc, err)
+
+    def test_null_config_value(self, tmp_path, data_file, capsys):
+        # null leaves a window field unset, and is a wrong type for any other field
+        cfg = tmp_path / "config.json"
+        reports = []
+        for doc in ({}, {"D": None, "d1": None, "d2": None, "s": None}):
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / f"out{len(reports)}"
+            assert main(["screen", str(data_file), "--config", str(cfg),
+                         "--out-dir", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        for name in ("alpha", "beta1", "beta2", "kappa", "profile"):
+            cfg.write_text(json.dumps({name: None}))
+            code = main(["screen", str(data_file), "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2, (name, err)
+            assert err.startswith("config-error:"), (name, err)
 
     def test_bad_sample_sizes(self, tmp_path, capsys):
         # each used to end in a traceback or in an error that named no flag

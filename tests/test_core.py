@@ -63,6 +63,14 @@ class TestValidateConfig:
         cfg = validate_config(DetectionConfig(), 8)
         assert cfg.d1 == 2
 
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("p", range(2, 13))
+    def test_default_interval_holds_s_windows(self, p, profile):
+        # the narrowest screened interval, 2D wide, holds 2D - d + 1
+        # windows; with fewer than s, no run of s flags can complete
+        cfg = validate_config(DetectionConfig(profile=profile), p)
+        assert 2 * cfg.D - cfg.d + 1 >= cfg.s
+
     def test_idempotent(self):
         # the config echoed in report.json reproduces the run
         cfg = validate_config(DetectionConfig(), 40)

@@ -6,8 +6,7 @@ import pytest
 
 import fisherwatch
 
-MODULES = sorted(path for path in Path(fisherwatch.__file__).parent.rglob("*.py")
-                 if path.name != "__init__.py")
+MODULES = sorted(Path(fisherwatch.__file__).parent.rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
